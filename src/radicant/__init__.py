@@ -22,6 +22,7 @@ from .errors import (
     DegenerateParams,
     DegenerateStep,
     EnumerationBound,
+    InvariantError,
     NoRootError,
     RadicantError,
     SupportCollision,

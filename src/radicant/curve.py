@@ -19,6 +19,7 @@ from .errors import (
     ContextMismatch,
     DegenerateParams,
     EnumerationBound,
+    InvariantError,
     RadicantError,
     TorsionUnavailable,
 )
@@ -600,11 +601,13 @@ def to_tate_normal(E: WeierstrassCurve, P: Point, N: int):
     u = E2.a3 / E2.a2
     iso3 = _iso_from(E2, u, ctx.zero, ctx.zero, ctx.zero)
     E3 = iso3.codomain
-    assert E3.a4.is_zero() and E3.a6.is_zero() and E3.a2 == E3.a3
+    if not (E3.a4.is_zero() and E3.a6.is_zero() and E3.a2 == E3.a3):
+        raise InvariantError("normal-form transform left a4, a6 or a2 - a3 nonzero")
     b = -E3.a2
     c = ctx.one - E3.a1
     iso = iso1.compose(iso2).compose(iso3)
-    assert iso.apply(P) == Point(ctx.zero, ctx.zero)
+    if not iso.apply(P) == Point(ctx.zero, ctx.zero):
+        raise InvariantError("normal-form transform does not send P to (0, 0)")
     return TateParams(b, c, N), iso
 
 

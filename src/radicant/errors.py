@@ -39,3 +39,8 @@ class TorsionUnavailable(RadicantError):
 
 class EnumerationBound(RadicantError):
     """A field or matrix group is too large for exhaustive enumeration."""
+
+
+class InvariantError(RadicantError):
+    """An internal consistency check failed: a defect, not a property of the
+    input.  Raised in place of ``assert`` so that ``python -O`` keeps it."""

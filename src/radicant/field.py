@@ -9,11 +9,12 @@ lexicographic order on coefficient tuples.
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterator, Sequence
 
 from sympy import factorint, isprime
 
-from .errors import ContextMismatch, NoRootError, RadicantError
+from .errors import ContextMismatch, InvariantError, NoRootError, RadicantError
 
 MAX_FIELD_BITS = 63  # q = p^k must stay in a machine-word range
 
@@ -222,6 +223,8 @@ class FieldElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        if self.ctx.k == 1:
+            return FieldElement(self.ctx, (pow(self.coeffs[0], exponent, self.ctx.p),))
         result = self.ctx.one
         base = self
         e = exponent
@@ -342,7 +345,8 @@ def _smallest_irreducible(p: int, k: int):
 
     Coefficient tuples (c0, ..., c_{k-1}) are scanned in lexicographic
     order with the constant term most significant, so the result is
-    reproducible across runs and platforms.
+    reproducible across runs and platforms.  For k > 1 every candidate with
+    c0 = 0 is divisible by x, so the scan starts at c0 = 1.
     """
     if k == 1:
         return (0, 1)
@@ -353,7 +357,7 @@ def _smallest_irreducible(p: int, k: int):
             if _is_irreducible_int(f, p):
                 return tuple(f)
             return None
-        for c in range(p):
+        for c in range(0 if prefix else 1, p):
             found = rec(prefix + [c])
             if found is not None:
                 return found
@@ -404,20 +408,15 @@ def multiplicative_order(a: FieldElement) -> int:
     return order
 
 
-def _roots_of_unity(ctx: FieldCtx, r: int) -> list:
-    """All r-th roots of unity, for prime r dividing q - 1."""
-    n = ctx.q - 1
-    for z in ctx.nonzero_elements():
-        w = z ** (n // r)
-        if w != ctx.one:
-            return sorted(
-                (w**i for i in range(r)), key=lambda e: e.coeffs
-            )
-    raise RadicantError("no generator of the root-of-unity group found")
-
-
 def _prime_roots(a: FieldElement, r: int) -> list:
-    """All solutions of x^r = a for prime r (possibly empty)."""
+    """All solutions of x^r = a for prime r (possibly empty).
+
+    Adleman-Manders-Miller: with q - 1 = r^t * w and r not dividing w,
+    x0 = a^(1/r mod w) is a root up to a factor in the r-Sylow subgroup.
+    That factor is read off by a Pohlig-Hellman discrete log in t base-r
+    digits against a Sylow generator: O(t^2 log r) multiplications, with no
+    search over the r^t elements of the Sylow subgroup.
+    """
     ctx = a.ctx
     n = ctx.q - 1
     if n % r != 0:
@@ -425,35 +424,41 @@ def _prime_roots(a: FieldElement, r: int) -> list:
         return [a ** pow(r, -1, n)]
     if a ** (n // r) != ctx.one:
         return []
-    # Adleman-Manders-Miller style lifting: write n = r^t * w with r ∤ w
     t, w = 0, n
     while w % r == 0:
         t += 1
         w //= r
-    x0 = a ** pow(r, -1, w)
-    # x0^r = a * u with u in the Sylow r-subgroup; fix up by brute force there
-    sylow_order = r**t
-    if sylow_order > 10**6:
-        raise RadicantError("Sylow subgroup too large for root extraction")
-    gen = None
-    for z in ctx.nonzero_elements():
-        cand = z**w
-        if cand ** (sylow_order // r) != ctx.one:
-            gen = cand
+    # z^w generates the Sylow subgroup iff z is not an r-th power, which
+    # holds for a fraction 1 - 1/r of the field: a fixed-seed draw finds one
+    # in O(1) expected tries.  A canonical-order scan can hit long runs of
+    # r-th powers (over F_{p^2} the first p candidates c*x can all be).  The
+    # root set is unique, so the choice of generator changes no output.
+    rng = random.Random(r)
+    while True:
+        z = ctx.random_element(rng)
+        if z.is_zero():
+            continue
+        gen = z**w
+        zeta = gen ** (r ** (t - 1))  # = z^(n/r), so zeta != 1 iff gen generates
+        if zeta != ctx.one:
             break
-    if gen is None:
-        raise RadicantError("failed to find a Sylow generator")
-    g = ctx.one
-    root = None
-    for _ in range(sylow_order):
-        if (x0 * g) ** r == a:
-            root = x0 * g
-            break
-        g = g * gen
-    if root is None:
-        return []
-    zetas = _roots_of_unity(ctx, r)
-    return [root * z for z in zetas]
+    log_zeta, power = {}, ctx.one
+    for d in range(r):
+        log_zeta[power] = d
+        power = power * zeta
+    # x0 = a^s with s = 1/r mod w is a root up to a Sylow factor u = x0^r / a
+    # = a^(rs - 1); both come from y = a^(s - 1) without inverting a
+    y = a ** (pow(r, -1, w) - 1)
+    x0 = y * a
+    u = x0 ** (r - 1) * y
+    # u = gen^e with r | e, read off in base-r digits:
+    # (u * gen^-e_low)^(r^(t-1-i)) = zeta^(digit i)
+    order = r**t
+    e = 0
+    for i in range(t):
+        e += log_zeta[(u * gen ** (-e % order)) ** (r ** (t - 1 - i))] * r**i
+    root = x0 * gen ** (-(e // r) % order)
+    return [root * z for z in log_zeta]
 
 
 def nth_roots(rho: FieldElement, n: int) -> list:
@@ -475,5 +480,6 @@ def nth_roots(rho: FieldElement, n: int) -> list:
                 return []
     expected = math.gcd(n, rho.ctx.q - 1)
     out = sorted(roots, key=lambda e: e.coeffs)
-    assert len(out) in (0, expected), "root count does not match gcd(n, q-1)"
+    if len(out) not in (0, expected):
+        raise InvariantError("root count does not match gcd(n, q-1)")
     return out

@@ -25,7 +25,7 @@ from .curve import (
     to_tate_normal,
     TateParams,
 )
-from .errors import DegenerateParams
+from .errors import DegenerateParams, InvariantError
 from .field import FieldElement
 from .isogeny import Isogeny, evaluate, velu
 
@@ -102,7 +102,8 @@ def axis_subgroup_normality(N: int) -> SubgroupNormalityReport:
     G = list(group_elements(N))
     H = [g for g in G if in_axis_subgroup(g)]
     phi_n = sum(1 for k in range(1, N) if math.gcd(k, N) == 1)
-    assert len(G) == N * N * phi_n and len(H) == N * phi_n
+    if not (len(G) == N * N * phi_n and len(H) == N * phi_n):
+        raise InvariantError(f"group or axis subgroup has the wrong order at N = {N}")
     for g in G:
         gi = sd_inv(g)
         for h in H:

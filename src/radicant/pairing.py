@@ -19,7 +19,7 @@ from .curve import (
     _points_for_x,
     point_order,
 )
-from .errors import DegenerateParams, SupportCollision
+from .errors import DegenerateParams, InvariantError, SupportCollision
 from .field import FieldElement
 
 _SHIFT_SCAN_LIMIT = 500  # candidate auxiliary points tried for divisor shifts
@@ -217,7 +217,8 @@ def weil(E: WeierstrassCurve, S: Point, T: Point, N: int) -> FieldElement:
             except SupportCollision:
                 continue
             e = num / den
-            assert (e**N) == one, "Weil value is not an N-th root of unity"
+            if not e**N == one:
+                raise InvariantError("Weil value is not an N-th root of unity")
             return e
     raise SupportCollision("no valid divisor shifts found for the Weil pairing")
 

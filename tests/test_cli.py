@@ -22,6 +22,12 @@ class TestChain:
             "policy": "canonical",
         }
 
+    def test_large_sylow_field(self, capsys):
+        # v_5(p - 1) = 9: the fifth root needs no search over the 5-Sylow subgroup
+        code, out, _ = run_cli(capsys, "chain", "--p", "50781251", "--b", "32", "--steps", "1")
+        assert code == 0
+        assert out.strip() == '{"chain":[32,36931830],"k":1,"p":50781251,"policy":"canonical"}'
+
     def test_zero_steps(self, capsys):
         code, out, _ = run_cli(capsys, "chain", "--p", "13", "--b", "4", "--steps", "0")
         assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -36,6 +37,24 @@ class TestMakeField:
             if best:
                 break
         assert F.modulus == best == (1, 1, 1)
+
+    @pytest.mark.parametrize("pk,modulus", [
+        ((5, 2), (1, 1, 1)), ((5, 3), (1, 0, 1, 1)), ((5, 4), (1, 0, 1, 1, 1)),
+        ((7, 2), (1, 0, 1)), ((7, 3), (1, 0, 1, 1)), ((7, 4), (1, 0, 0, 1, 1)),
+        ((11, 2), (1, 0, 1)),
+        ((13, 2), (1, 3, 1)), ((13, 3), (1, 0, 4, 1)), ((13, 4), (1, 0, 0, 1, 1)),
+        ((17, 4), (1, 0, 0, 3, 1)), ((31, 4), (1, 0, 0, 1, 1)),
+        ((101, 2), (1, 1, 1)), ((101, 3), (1, 0, 1, 1)),
+        ((1013, 2), (1, 1, 1)), ((10007, 2), (1, 0, 1)),
+    ])
+    def test_pinned_defining_polynomials(self, pk, modulus):
+        # the defining polynomial fixes the canonical element order downstream
+        assert make_field(*pk).modulus == modulus
+
+    def test_degree4_construction_budget(self):
+        t0 = time.perf_counter()
+        make_field(31, 4)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_not_prime(self):
         with pytest.raises(ValueError):
@@ -172,6 +191,23 @@ class TestNthRoots:
             if rho.is_zero():
                 continue
             assert nth_roots(rho, 5) == brute_roots(F, rho, 5)
+
+    # v_5(q - 1) >= 2 at p = 101, 251, 401 and v_2(q - 1) >= 5 at p = 97, 257,
+    # so the Sylow discrete log runs over several digits
+    @given(
+        st.sampled_from([(11, 1), (31, 1), (97, 1), (101, 1), (251, 1), (257, 1),
+                         (401, 1), (7, 2), (11, 2), (19, 2), (31, 2), (5, 4), (7, 4)]),
+        st.sampled_from([2, 3, 4, 5, 10, 25]),
+        st.lists(st.integers(min_value=0), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def test_differential_against_brute_force(self, pk, n, coeffs, as_power):
+        F = make_field(*pk)
+        c = F.el(coeffs[: F.k])
+        if c.is_zero():
+            return
+        rho = c**n if as_power else c
+        assert nth_roots(rho, n) == brute_roots(F, rho, n)
 
     def test_multiplicative_order(self, F11):
         assert multiplicative_order(F11.el(10)) == 2

@@ -85,6 +85,19 @@ class TestStep:
         with pytest.raises(ValueError):
             radical_step_5(b, policy="biggest")
 
+    def test_v5_9_field_has_no_sylow_ceiling(self):
+        # 50781251 - 1 = 2 * 13 * 5^9: a 5-Sylow subgroup of 5^9 elements
+        F = make_field(50781251)
+        rng = random.Random(9)
+        bs = [F.el(32)] + [F.el(rng.randrange(2, F.p)) ** 5 for _ in range(2)]
+        for b in bs:
+            assert len(nth_roots(b, 5)) == 5
+            j_quotient = velu(degree5_curve(b), Point(F.zero, F.zero)).codomain.j_invariant()
+            for i in range(5):
+                step = radical_step_5(b, policy=f"index:{i}")
+                assert step.alpha**5 == b
+                assert degree5_curve(step.b_next).j_invariant() == j_quotient
+
     def test_output_is_valid_parameter(self):
         rng = random.Random(15)
         checked = 0
