@@ -11,6 +11,7 @@ from .curve import (
     degree5_curve,
     enumerate_points,
     find_isomorphism,
+    has_order,
     normal_form_discriminant,
     point_order,
     scalar_mul,

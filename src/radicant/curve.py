@@ -24,6 +24,7 @@ from .errors import (
     TorsionUnavailable,
 )
 from .field import FieldCtx, FieldElement
+from .miscutil import order_dividing
 
 DEFAULT_ENUM_BOUND = 2_000_000
 
@@ -188,42 +189,25 @@ def scalar_mul(E: WeierstrassCurve, n: int, P: Point) -> Point:
     return E.mul(n, P)
 
 
-def _divisors(n: int) -> list:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def point_order(E: WeierstrassCurve, P: Point, multiple: Optional[int] = None) -> int:
+    """Least n >= 1 with [n]P = O, from a known multiple of it.
 
-
-def point_order(E: WeierstrassCurve, P: Point, bound: Optional[int] = None) -> int:
-    """Least n >= 1 with [n]P = O."""
+    `multiple` defaults to the group order, which needs enumeration; pass any
+    m >= 1 with [m]P = O to avoid it.
+    """
     E.require(P)
     if P.is_infinity:
         return 1
-    if bound is None and E.ctx.q <= enum_bound():
-        n = group_order(E)
-        for d in _divisors(n):
-            if E.mul(d, P).is_infinity:
-                return d
-        raise RadicantError("point order does not divide the group order")
-    limit = bound if bound is not None else 10**6
-    Q = P
-    n = 1
-    while not Q.is_infinity:
-        Q = E.add(Q, P)
-        n += 1
-        if n > limit:
-            raise RadicantError("point order exceeds the search bound")
-    return n
+    if multiple is None:
+        multiple = group_order(E)
+    if multiple < 1 or not E.mul(multiple, P).is_infinity:
+        raise InvariantError(f"{multiple} is not a multiple of the point order")
+    return order_dividing(multiple, lambda m: E.mul(m, P).is_infinity)
 
 
-def order_of(E: WeierstrassCurve, P: Point) -> int:
-    return point_order(E, P)
+def has_order(E: WeierstrassCurve, P: Point, N: int) -> bool:
+    """True when P has exact order N; needs no group order."""
+    return N >= 1 and E.mul(N, P).is_infinity and point_order(E, P, N) == N
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +391,11 @@ def torsion_basis(E: WeierstrassCurve, N: int, ext: FieldCtx):
             first = T
             continue
         e = weil(Eext, first, T, N)
-        if _mult_order_in_roots(e, N) == N:
+        if e**N != ext.one:
+            raise InvariantError("Weil value is not an N-th root of unity")
+        if order_dividing(N, lambda m: e**m == ext.one) == N:
             return first, T
     raise TorsionUnavailable(f"could not sample a basis of E[{N}] over {ext}")
-
-
-def _mult_order_in_roots(e: FieldElement, N: int) -> int:
-    acc = e
-    for m in range(1, N + 1):
-        if acc == e.ctx.one:
-            return m
-        acc = acc * e
-    raise RadicantError("value is not an N-th root of unity")
 
 
 def full_torsion_degree(E: WeierstrassCurve, N: int, max_degree: int = 8):
@@ -446,9 +423,7 @@ def points_of_order(E: WeierstrassCurve, N: int) -> list:
     """All rational points of exact order N, by enumeration."""
     out = []
     for P in enumerate_points(E):
-        if P.is_infinity:
-            continue
-        if E.mul(N, P).is_infinity and point_order(E, P) == N:
+        if not P.is_infinity and has_order(E, P, N):
             out.append(P)
     return out
 
@@ -457,9 +432,7 @@ def rational_point_of_order(E: WeierstrassCurve, n: int, above: Optional[Point] 
     """First enumerated point R of exact order n, optionally with a marked
     multiple: when `above` is given, require [n / order(above)] R = above."""
     for R in enumerate_points(E):
-        if R.is_infinity:
-            continue
-        if not E.mul(n, R).is_infinity or point_order(E, R) != n:
+        if R.is_infinity or not has_order(E, R, n):
             continue
         if above is not None:
             m = point_order(E, above)
@@ -587,9 +560,8 @@ def to_tate_normal(E: WeierstrassCurve, P: Point, N: int):
     not an assumption.
     """
     E.require(P)
-    n = point_order(E, P)
-    if n != N:
-        raise ValueError(f"point has order {n}, expected {N}")
+    if not has_order(E, P, N):
+        raise ValueError(f"point does not have order {N}")
     if N < 4:
         raise ValueError("normal form needs a point of order >= 4")
     ctx = E.ctx

@@ -14,7 +14,9 @@ from typing import Iterator, Sequence
 
 from sympy import factorint, isprime
 
+from . import poly
 from .errors import ContextMismatch, InvariantError, NoRootError, RadicantError
+from .miscutil import order_dividing
 
 MAX_FIELD_BITS = 63  # q = p^k must stay in a machine-word range
 
@@ -254,7 +256,7 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# int-coefficient polynomial helpers (used for inversion and make_field)
+# int-coefficient polynomial helpers (used for inversion)
 # ---------------------------------------------------------------------------
 
 def _poly_trim_int(a, p):
@@ -303,43 +305,6 @@ def _poly_divmod_int(a, b, p):
     return _poly_trim_int(q, p), _poly_trim_int(r, p)
 
 
-def _poly_powmod_int(base, exponent, mod, p):
-    result = [1]
-    b = _poly_divmod_int(base, mod, p)[1]
-    e = exponent
-    while e:
-        if e & 1:
-            result = _poly_divmod_int(_poly_mul_int(result, b, p), mod, p)[1]
-        b = _poly_divmod_int(_poly_mul_int(b, b, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _poly_gcd_int(a, b, p):
-    a, b = _poly_trim_int(a, p), _poly_trim_int(b, p)
-    while b != [0]:
-        a, b = b, _poly_divmod_int(a, b, p)[1]
-    return a
-
-
-def _is_irreducible_int(f, p) -> bool:
-    """Rabin's irreducibility test for a monic f in F_p[x]."""
-    f = _poly_trim_int(f, p)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    for r in sorted(set(factorint(n))):
-        h = _poly_sub_int(_poly_powmod_int(x, p ** (n // r), f, p), x, p)
-        g = _poly_gcd_int(h, f, p)
-        if len(_poly_trim_int(g, p)) > 1:
-            return False
-    h = _poly_sub_int(_poly_powmod_int(x, p**n, f, p), x, p)
-    return _poly_trim_int(h, p) == [0]
-
-
 def _smallest_irreducible(p: int, k: int):
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
@@ -350,12 +315,13 @@ def _smallest_irreducible(p: int, k: int):
     """
     if k == 1:
         return (0, 1)
+    prime = FieldCtx(p, 1, (0, 1))
 
     def rec(prefix):
         if len(prefix) == k:
-            f = list(prefix) + [1]
-            if _is_irreducible_int(f, p):
-                return tuple(f)
+            f = tuple(prefix) + (1,)
+            if poly.is_irreducible([prime.el(c) for c in f], prime):
+                return f
             return None
         for c in range(0 if prefix else 1, p):
             found = rec(prefix + [c])
@@ -400,12 +366,7 @@ def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 def multiplicative_order(a: FieldElement) -> int:
     if a.is_zero():
         raise ValueError("zero has no multiplicative order")
-    n = a.ctx.q - 1
-    order = n
-    for r in factorint(n):
-        while order % r == 0 and (a ** (order // r)) == a.ctx.one:
-            order //= r
-    return order
+    return order_dividing(a.ctx.q - 1, lambda m: a**m == a.ctx.one)
 
 
 def _prime_roots(a: FieldElement, r: int) -> list:

@@ -24,6 +24,7 @@ from .curve import (
     enum_bound,
     full_torsion_degree,
     group_order,
+    has_order,
     isomorphisms,
     lift_point,
     point_order,
@@ -124,22 +125,6 @@ class DualIsogeny:
         return self.back_iso.apply(descend_point(img, base))
 
 
-def _order_from_group(E: WeierstrassCurve, P: Point, n: int) -> int:
-    """Exact order of P given the group order n."""
-    d = 1
-    small, large = [], []
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    for m in small + large[::-1]:
-        if E.mul(m, P).is_infinity:
-            return m
-    raise RadicantError("point order does not divide the group order")
-
-
 def _verify_dual(cand: "DualIsogeny") -> bool:
     """Exact check that cand o phi = [N] as maps.
 
@@ -161,7 +146,7 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
             continue
         if cand(evaluate(phi, X)) != E.mul(N, X):
             return False
-        lcm_acc = _math.lcm(lcm_acc, _order_from_group(E, X, n1))
+        lcm_acc = _math.lcm(lcm_acc, point_order(E, X, n1))
         if lcm_acc > bound:
             return True
     # the rational group has small exponent: escalate to extension sampling
@@ -183,7 +168,7 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
         X = random_point(Ee, rng)
         if _dual_eval_ext(phi, evaluate(phi_e, X), ext, cand) != Ee.mul(N, X):
             return False
-        lcm_acc = _math.lcm(lcm_acc, _order_from_group(Ee, X, n_ext))
+        lcm_acc = _math.lcm(lcm_acc, point_order(Ee, X, n_ext))
         if lcm_acc > bound:
             return True
     return False
@@ -257,7 +242,7 @@ def is_distinguished(phi: Isogeny, P2: Point) -> bool:
     """True when the dual sends P2 back to the kernel generator itself."""
     phi.codomain.require(P2)
     N = phi.degree
-    if P2.is_infinity or point_order(phi.codomain, P2) != N:
+    if P2.is_infinity or not has_order(phi.codomain, P2, N):
         raise ValueError("candidate must have exact order deg(phi) on the codomain")
     return cached_dual(phi)(P2) == phi.kernel_generator
 
@@ -284,7 +269,7 @@ def distinguished_points(phi: Isogeny) -> list:
             if i == 0 and j == 0:
                 continue
             P2 = E2e.add(E2e.mul(i, Q1), E2e.mul(j, Q2))
-            if point_order(E2e, P2, bound=N + 1) != N:
+            if not has_order(E2e, P2, N):
                 continue
             if _dual_eval_ext(phi, P2, ext) == target:
                 found.append(P2)
@@ -354,6 +339,6 @@ def composition_kernel(phi: Isogeny, psi: Isogeny, max_degree: int = 3) -> list:
 def kernel_is_cyclic(kernel: list, E: WeierstrassCurve, order: int) -> bool:
     """True when some kernel point has the full composite order."""
     return any(
-        not P.is_infinity and point_order(E, P, bound=order + 1) == order
+        not P.is_infinity and has_order(E, P, order)
         for P in kernel
     )

@@ -20,8 +20,8 @@ from .curve import (
     curve_from_params,
     degree5_curve,
     find_isomorphism,
+    has_order,
     normal_form_discriminant,
-    point_order,
     to_tate_normal,
     TateParams,
 )
@@ -136,7 +136,7 @@ class MarkedPoint:
 
     def __post_init__(self):
         self.curve.require(self.point)
-        if point_order(self.curve, self.point) != self.level:
+        if not has_order(self.curve, self.point, self.level):
             raise ValueError("marked point has the wrong order")
 
 
@@ -154,7 +154,7 @@ class MarkedSubgroup:
             self.curve.require(pt)
             pts.add(pt)
         gens = [p for p in self.points if not p.is_infinity
-                and point_order(self.curve, p) == self.level]
+                and has_order(self.curve, p, self.level)]
         if not gens or pts != set(self.curve.subgroup(gens[0])):
             raise ValueError("marked points do not form a cyclic subgroup")
 

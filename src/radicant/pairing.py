@@ -17,7 +17,7 @@ from .curve import (
     TateParams,
     WeierstrassCurve,
     _points_for_x,
-    point_order,
+    has_order,
 )
 from .errors import DegenerateParams, InvariantError, SupportCollision
 from .field import FieldElement
@@ -147,7 +147,7 @@ def miller(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElement:
     """
     E.require(P)
     E.require(Q)
-    if point_order(E, P) != N:
+    if not has_order(E, P, N):
         raise ValueError("base point does not have the stated order")
     if Q.is_infinity or Q == P:
         raise SupportCollision("evaluation point collides with the divisor")
@@ -176,7 +176,7 @@ def tate_reduced(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElemen
         raise ValueError(f"N = {N} does not divide q - 1 = {q - 1}")
     E.require(P)
     E.require(Q)
-    if point_order(E, P) != N:
+    if not has_order(E, P, N):
         raise ValueError("first argument must have exact order N")
     exp = (q - 1) // N
     for U in _point_candidates(E):

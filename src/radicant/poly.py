@@ -1,8 +1,8 @@
 """Dense univariate polynomials with FieldElement coefficients.
 
-Used for the generic irreducibility oracle over any F_{p^k}; the prime-field
-machinery inside field.py has its own int-based variant for bootstrap
-reasons.  Polynomials are lists, constant term first.
+Hosts the one Rabin irreducibility test, used over any F_{p^k}; make_field
+bootstraps through it over the prime field F_p.  Polynomials are lists,
+constant term first.
 """
 
 from __future__ import annotations

@@ -223,26 +223,18 @@ def velu_chain(b0: FieldElement, steps: int) -> ChainResult:
 
 def _sampled_distinguished(phi) -> list:
     """Rational distinguished points, found by sampling rather than scanning."""
-    from .curve import _rng_for, group_order, random_point
+    from .curve import _rng_for, _sylow_reduce, group_order, random_point
     from .isogeny import cached_dual
 
     E2 = phi.codomain
     n = group_order(phi.domain)  # isogenous curves have equal counts
-    v = 0
-    m = n
-    while m % 5 == 0:
-        v += 1
-        m //= 5
     rng = _rng_for(E2, "bench-sampling")
     dual = cached_dual(phi)
     seen = set()
     found = []
     for _ in range(200):
-        Q = random_point(E2, rng)
-        S = E2.mul(m, Q)
-        while not S.is_infinity and not E2.mul(5, S).is_infinity:
-            S = E2.mul(5, S)
-        if S.is_infinity or S in seen:
+        S = _sylow_reduce(E2, random_point(E2, rng), n, 5)
+        if S is None or S in seen:
             continue
         for cand in (E2.mul(i, S) for i in range(1, 5)):
             seen.add(cand)

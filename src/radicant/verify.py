@@ -23,8 +23,8 @@ from .curve import (
     degree5_curve,
     enumerate_points,
     group_order,
+    has_order,
     normal_form_discriminant,
-    point_order,
     points_of_order,
     rational_point_of_order,
     to_tate_normal,
@@ -486,7 +486,7 @@ def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
                 if not phi.codomain.contains(P2):
                     good = False
                     break
-                if point_order(phi.codomain, P2) != 5:
+                if not has_order(phi.codomain, P2, 5):
                     good = False
                     break
                 if not is_distinguished(phi, P2):

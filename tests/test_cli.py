@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -141,6 +142,22 @@ class TestOtherCommands:
         assert payload["curve"] == [10, 9, 9, 0, 0]
         assert payload["normal_form_roundtrip"] is True
         assert payload["marked_subgroup"] == [None, [0, 0], [2, 4], [2, 0], [0, 2]]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("pairing", "--p", "1000003", "--b", "4"),
+         '{"b":4,"equals_b":true,"k":1,"miller_at_minus_p":4,"p":1000003}'),
+        (("tnf", "--p", "1000003", "--b", "4"),
+         '{"b":4,"curve":[1000000,999999,999999,0,0],"discriminant_nonzero":true,'
+         '"k":1,"marked_subgroup":[null,[0,0],[4,16],[4,0],[0,4]],'
+         '"normal_form_roundtrip":true,"p":1000003}'),
+    ], ids=["pairing", "tnf"])
+    def test_marked_point_checks_need_no_enumeration(self, capsys, argv, expected):
+        # the order-5 check on (0,0) must not enumerate the ~10^6 curve points
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert out.strip() == expected
 
     def test_tnf_degenerate(self, capsys):
         code, _, _ = run_cli(capsys, "tnf", "--p", "11", "--b", "1")

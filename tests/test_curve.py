@@ -15,6 +15,7 @@ from radicant.curve import (
     enumerate_points,
     find_isomorphism,
     group_order,
+    has_order,
     identity_iso,
     isomorphisms,
     normal_form_discriminant,
@@ -28,7 +29,12 @@ from radicant.curve import (
     order_over_extension,
     _iso_from,
 )
-from radicant.errors import DegenerateParams, EnumerationBound, TorsionUnavailable
+from radicant.errors import (
+    DegenerateParams,
+    EnumerationBound,
+    InvariantError,
+    TorsionUnavailable,
+)
 from radicant.field import make_field
 from radicant.pairing import weil
 
@@ -126,6 +132,32 @@ class TestPointOrder:
             n = group_order(E)
             for P in enumerate_points(E):
                 assert n % point_order(E, P) == 0
+
+    @pytest.mark.parametrize("p, k, b", [(11, 1, 2), (13, 1, 4), (31, 1, 3), (7, 2, [3, 2])],
+                             ids=["F11", "F13", "F31", "F49"])
+    def test_matches_repeated_addition(self, p, k, b):
+        F = make_field(p, k)
+        E = degree5_curve(F.el(b))
+        for P in enumerate_points(E):
+            o = len(E.subgroup(P))  # order by repeated addition
+            assert point_order(E, P) == o
+            assert point_order(E, P, 6 * o) == o
+            for N in range(1, 2 * o + 1):
+                assert has_order(E, P, N) == (N == o)
+            if o > 1:
+                with pytest.raises(InvariantError):
+                    point_order(E, P, o + 1)
+
+    def test_group_order_default_respects_enumeration_bound(self, monkeypatch):
+        # the default multiple is the group order, which needs enumeration;
+        # group_order is cached, so the curve is one no other test counts
+        monkeypatch.setenv("RADICANT_ENUM_BOUND", "7")
+        F = make_field(1000003)
+        E = degree5_curve(F.el(4))
+        P = marked_point(F)
+        with pytest.raises(EnumerationBound):
+            point_order(E, P)
+        assert point_order(E, P, 5) == 5 and has_order(E, P, 5)
 
 
 class TestEnumeration:

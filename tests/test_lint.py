@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import radicant
 
@@ -17,3 +18,26 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, f"assert statements in the library: {found}"
+
+
+def test_no_orphan_private_helpers():
+    # a module-level _name that nothing else in the package mentions is dead
+    texts = {path: path.read_text() for path in SOURCES}
+    orphans = []
+    for path, text in texts.items():
+        for node in ast.parse(text, str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                pattern = re.compile(rf"\b{re.escape(name)}\b")
+                uses = sum(len(pattern.findall(t)) for t in texts.values())
+                if uses < 2:
+                    orphans.append(f"{path.name}:{node.lineno} {name}")
+    assert not orphans, f"private helpers referenced nowhere: {orphans}"
