@@ -42,7 +42,16 @@ def sample_count() -> int:
 
 
 def enum_bound() -> int:
-    return int(os.environ.get("RADICANT_ENUM_BOUND", DEFAULT_ENUM_BOUND))
+    raw = os.environ.get("RADICANT_ENUM_BOUND")
+    if raw is None:
+        return DEFAULT_ENUM_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ValueError(f"RADICANT_ENUM_BOUND must be a positive integer, got {raw!r}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -139,12 +148,13 @@ class WeierstrassCurve:
         if x1 == x2:
             if (y1 + y2 + a1 * x1 + a3).is_zero():
                 return O
-            den = 2 * y1 + a1 * x1 + a3
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-            nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / den
+            inv = (2 * y1 + a1 * x1 + a3).inverse()
+            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
+            nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) * inv
         else:
-            lam = (y2 - y1) / (x2 - x1)
-            nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+            inv = (x2 - x1).inverse()
+            lam = (y2 - y1) * inv
+            nu = (y1 * x2 - y2 * x1) * inv
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
         y3 = -(lam + a1) * x3 - nu - a3
         return Point(x3, y3)
@@ -207,7 +217,10 @@ def point_order(E: WeierstrassCurve, P: Point, multiple: Optional[int] = None) -
 
 def has_order(E: WeierstrassCurve, P: Point, N: int) -> bool:
     """True when P has exact order N; needs no group order."""
-    return N >= 1 and E.mul(N, P).is_infinity and point_order(E, P, N) == N
+    if N < 1 or not E.mul(N, P).is_infinity:
+        return False
+    E.require(P)
+    return order_dividing(N, lambda m: E.mul(m, P).is_infinity) == N
 
 
 # ---------------------------------------------------------------------------

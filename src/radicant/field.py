@@ -124,13 +124,14 @@ class FieldElement:
     # -- helpers ---------------------------------------------------------
 
     def _check(self, other) -> "FieldElement":
+        if isinstance(other, FieldElement):
+            # make_field returns a new context per call: equal ones must mix
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return other
+            raise ContextMismatch(f"cannot mix {self.ctx} and {other.ctx}")
         if isinstance(other, int):
             return self.ctx.el(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.ctx != self.ctx:
-            raise ContextMismatch(f"cannot mix {self.ctx} and {other.ctx}")
-        return other
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -244,7 +245,9 @@ class FieldElement:
             other = self.ctx.el(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and (
+            self.ctx is other.ctx or self.ctx == other.ctx
+        )
 
     def __hash__(self):
         return hash((self.ctx._key, self.coeffs))

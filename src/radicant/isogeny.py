@@ -130,7 +130,9 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
 
     The difference of two isogenies E -> E of degree N^2 is a homomorphism
     whose kernel has at most 4 N^2 elements, so agreement on points whose
-    orders have lcm above that bound proves equality of the maps.
+    orders have lcm above that bound proves equality of the maps.  A point
+    with [lcm]X = O has order dividing the lcm and leaves it unchanged, so
+    its order is computed only when [lcm]X != O.
     """
     import math as _math
 
@@ -146,9 +148,10 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
             continue
         if cand(evaluate(phi, X)) != E.mul(N, X):
             return False
-        lcm_acc = _math.lcm(lcm_acc, point_order(E, X, n1))
-        if lcm_acc > bound:
-            return True
+        if not E.mul(lcm_acc, X).is_infinity:
+            lcm_acc = _math.lcm(lcm_acc, point_order(E, X, n1))
+            if lcm_acc > bound:
+                return True
     # the rational group has small exponent: escalate to extension sampling
     from .curve import _rng_for, order_over_extension, random_point
     from .field import make_field
@@ -168,9 +171,10 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
         X = random_point(Ee, rng)
         if _dual_eval_ext(phi, evaluate(phi_e, X), ext, cand) != Ee.mul(N, X):
             return False
-        lcm_acc = _math.lcm(lcm_acc, point_order(Ee, X, n_ext))
-        if lcm_acc > bound:
-            return True
+        if not Ee.mul(lcm_acc, X).is_infinity:
+            lcm_acc = _math.lcm(lcm_acc, point_order(Ee, X, n_ext))
+            if lcm_acc > bound:
+                return True
     return False
 
 
@@ -255,7 +259,9 @@ def distinguished_points(phi: Isogeny) -> list:
     """
     N = phi.degree
     E2 = phi.codomain
-    out = [P2 for P2 in points_of_order(E2, N) if is_distinguished(phi, P2)]
+    # points_of_order already checked order N; the dual is built on first use
+    out = [P2 for P2 in points_of_order(E2, N)
+           if cached_dual(phi)(P2) == phi.kernel_generator]
     if out:
         return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
     # no rational hits: realize the N-torsion of the codomain over an

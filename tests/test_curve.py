@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from radicant.curve import (
     add,
     curve_from_params,
     degree5_curve,
+    enum_bound,
     enumerate_points,
     find_isomorphism,
     group_order,
@@ -66,9 +68,9 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             add(E, Point(F11.el(1), F11.el(1)), O)
 
-    @pytest.mark.parametrize("p,b", [(11, 2), (31, 7), (101, 3)])
-    def test_associativity_randomized(self, p, b):
-        F = make_field(p)
+    @pytest.mark.parametrize("p,k,b", [(11, 1, 2), (31, 1, 7), (101, 1, 3), (13, 2, (4, 1))])
+    def test_associativity_randomized(self, p, k, b):
+        F = make_field(p, k)
         E = degree5_curve(F.el(b))
         pts = enumerate_points(E)
         rng = random.Random(repr((p, b)))
@@ -193,6 +195,29 @@ class TestEnumeration:
         F = make_field(11)
         with pytest.raises(EnumerationBound):
             enumerate_points(degree5_curve(F.el(2)))
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5", ""])
+    def test_enumeration_bound_must_be_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("RADICANT_ENUM_BOUND", raw)
+        message = f"RADICANT_ENUM_BOUND must be a positive integer, got {raw!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enum_bound()
+        with pytest.raises(ValueError, match="RADICANT_ENUM_BOUND"):
+            enumerate_points(degree5_curve(make_field(11).el(2)))
+
+    def test_invalid_enumeration_bound_is_a_usage_error(self, monkeypatch, capsys):
+        from radicant import isogeny
+        from radicant.cli import main
+
+        monkeypatch.setenv("RADICANT_ENUM_BOUND", "abc")
+        # an empty dual cache, so bench builds the dual and reads the bound
+        monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
+        assert main(["bench", "--p", "13", "--b", "4", "--steps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: RADICANT_ENUM_BOUND must be a positive integer, got 'abc'\n"
+        )
+        monkeypatch.setenv("RADICANT_ENUM_BOUND", "7")
+        assert enum_bound() == 7
 
     def test_extension_order_recurrence(self, F13):
         E = degree5_curve(F13.el(4))

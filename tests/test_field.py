@@ -91,6 +91,22 @@ class TestArith:
         with pytest.raises(ContextMismatch):
             arith(F11.el(1), F13.el(1), "add")
 
+    def test_equal_contexts_from_separate_builds_mix(self):
+        A, B = make_field(31), make_field(31)
+        assert A is not B and A == B
+        x, y = A.el(5), B.el(7)
+        assert arith(x, y, "add") == A.el(12)
+        assert arith(x, y, "mul") == B.el(4)
+        assert arith(arith(x, y, "div"), y, "mul") == x
+        assert A.el(9) == B.el(9) and hash(A.el(9)) == hash(B.el(9))
+
+    def test_distinct_fields_do_not_mix(self):
+        x, y = make_field(31).el(3), make_field(37).el(3)
+        assert x != y
+        for op in ("add", "sub", "mul", "div"):
+            with pytest.raises(ContextMismatch):
+                arith(x, y, op)
+
     def test_unknown_op(self, F11):
         with pytest.raises(ValueError):
             arith(F11.el(1), F11.el(1), "pow")

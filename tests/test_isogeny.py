@@ -7,6 +7,7 @@ from radicant.curve import (
     Point,
     degree5_curve,
     enumerate_points,
+    isomorphisms,
     normal_form_discriminant,
     point_order,
     points_of_order,
@@ -14,6 +15,8 @@ from radicant.curve import (
 )
 from radicant.field import make_field
 from radicant.isogeny import (
+    DualIsogeny,
+    _verify_dual,
     composition_kernel,
     dual_isogeny,
     distinguished_points,
@@ -133,6 +136,21 @@ class TestDual:
         dual = dual_isogeny(phi)
         for X in enumerate_points(E):
             assert dual(evaluate(phi, X)) == E.mul(5, X)
+
+    @pytest.mark.parametrize("p,b", [(31, 11), (13, 4)])
+    def test_verify_dual_rejects_negated_dual(self, p, b):
+        # rational dual route over F_31, extension route over F_13.  [-1] o dual
+        # agrees with the dual wherever [10]X = O, which is all of
+        # E(F_31) = Z/5 x Z/5, so an overestimated lcm of the checked orders
+        # would accept it before a disagreeing point turns up.
+        F = make_field(p)
+        E = degree5_curve(F.el(b))
+        phi = velu(E, marked(F))
+        dual = dual_isogeny(phi)
+        assert _verify_dual(dual)
+        neg = next(a for a in isomorphisms(E, E) if a.u == -1)
+        negated = DualIsogeny(phi, dual.quotient, dual.back_iso.compose(neg), dual.ext_ctx)
+        assert not _verify_dual(negated)
 
     def test_dual_kernel_size(self):
         F, E, phi = phi_f31()
