@@ -12,8 +12,7 @@ Usage:
 
 import argparse
 
-from radicant.curve import normal_form_discriminant
-from radicant.errors import RadicantError
+from radicant.errors import DegenerateParams, RadicantError
 from radicant.field import make_field
 from radicant.radical import radical_step_5
 
@@ -26,15 +25,12 @@ def main():
     if (args.p - 1) % 5 == 0:
         ap.error("pick p with gcd(5, p-1) = 1 so the step is single-valued")
     F = make_field(args.p)
-    valid = [
-        v
-        for v in range(1, args.p)
-        if not normal_form_discriminant(F.el(v), F.el(v)).is_zero()
-    ]
     succ = {}
-    for v in valid:
+    for v in range(1, args.p):
         try:
             succ[v] = radical_step_5(F.el(v), policy="unique").b_next.to_int()
+        except DegenerateParams:
+            continue  # not a valid parameter: outside the step map
         except RadicantError as exc:
             print(f"b = {v}: degenerate ({exc})")
     seen = set()

@@ -460,16 +460,11 @@ def rational_point_of_order(E: WeierstrassCurve, n: int, above: Optional[Point] 
 # ---------------------------------------------------------------------------
 
 def normal_form_discriminant(b: FieldElement, c: FieldElement) -> FieldElement:
-    inner = (
-        c**4
-        - 8 * b * c * c
-        - 3 * c**3
-        + 16 * b * b
-        - 20 * b * c
-        + 3 * c * c
-        + b
-        - c
-    )
+    """b^3 (c^4 - 3c^3 + 3c^2 - 8bc^2 + 16b^2 - 20bc + b - c), the
+    discriminant of y^2 + (1-c)xy - by = x^3 - bx^2, evaluated in factored
+    form."""
+    c2 = c * c
+    inner = c2 * (c2 - 3 * c + 3 - 8 * b) + b * (16 * b - 20 * c + 1) - c
     return b**3 * inner
 
 

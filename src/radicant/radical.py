@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .curve import (
     Point,
-    TateParams,
     WeierstrassCurve,
     degree5_curve,
     normal_form_discriminant,
@@ -23,7 +22,6 @@ from .curve import (
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
 from .isogeny import distinguished_points, velu
-from .pairing import radicand
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,8 @@ def _pick_root(roots: list, policy: str) -> tuple:
 
 def step_from_root(b: FieldElement, alpha: FieldElement, root_index: int = 0) -> RadicalStep:
     """Evaluate the closed-form successor parameter at a chosen root."""
-    num = alpha**4 + 3 * alpha**3 + 4 * alpha * alpha + 2 * alpha + 1
-    den = alpha**4 - 2 * alpha**3 + 4 * alpha * alpha - 3 * alpha + 1
+    num = (((alpha + 3) * alpha + 4) * alpha + 2) * alpha + 1
+    den = (((alpha - 2) * alpha + 4) * alpha - 3) * alpha + 1
     if den.is_zero():
         raise DegenerateStep("pole of the step expression", alpha=alpha)
     b_next = alpha * num / den
@@ -95,11 +93,17 @@ def step_from_root(b: FieldElement, alpha: FieldElement, root_index: int = 0) ->
 
 
 def radical_step_5(b: FieldElement, policy: str = "canonical") -> RadicalStep:
-    """One radical step of degree 5 under the given root-selection policy."""
+    """One radical step of degree 5 under the given root-selection policy.
+
+    For N = 5 the radicand t_5(P, -P) is b itself; the Miller check in
+    `verify` ties the two together independently of this function.
+    """
     _check_params(b)
-    rho = radicand(TateParams(b, b, 5))
-    roots = nth_roots(rho, 5)
-    alpha, idx = _pick_root(roots, policy)
+    return _step_unchecked(b, policy)
+
+
+def _step_unchecked(b: FieldElement, policy: str) -> RadicalStep:
+    alpha, idx = _pick_root(nth_roots(b, 5), policy)
     return step_from_root(b, alpha, idx)
 
 
@@ -127,13 +131,17 @@ def distinguished_point_5(b: FieldElement, alpha: FieldElement) -> Point:
 
 
 def radical_chain(b0: FieldElement, steps: int, policy: str = "canonical") -> ChainResult:
-    """Iterate the radical step; deterministic given (b0, policy)."""
+    """Iterate the radical step; deterministic given (b0, policy).
+
+    Only b0 is validated here: `step_from_root` rejects a degenerate
+    successor, so every later input is already known to be valid.
+    """
     _check_params(b0)
     values = [b0]
     b = b0
     for i in range(steps):
         try:
-            step = radical_step_5(b, policy)
+            step = _step_unchecked(b, policy)
         except (DegenerateParams, DegenerateStep, NoRootError) as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
         b = step.b_next

@@ -269,6 +269,42 @@ class TestNormalForm:
             F = make_field(p)
             assert normal_form_discriminant(F.one, F.one) == F.el(-11)
 
+    @staticmethod
+    def _generic_discriminant(b, c):
+        # Delta of (a1, a2, a3, a4, a6) = (1 - c, -b, -b, 0, 0) from the
+        # b-invariants, written out here so it shares no code with curve.py
+        a1, a2, a3 = 1 - c, -b, -b
+        b2 = a1 * a1 + 4 * a2
+        b4 = a1 * a3
+        b6 = a3 * a3
+        b8 = a2 * a3 * a3
+        return -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    @pytest.mark.parametrize("p,k,draws", [(13, 1, None), (7, 2, 300), (1048583, 1, 300)])
+    def test_discriminant_matches_weierstrass(self, p, k, draws):
+        F = make_field(p, k)
+        if draws is None:
+            pairs = [(F.el(v), F.el(w)) for v in range(1, p) for w in range(p)]
+        else:
+            rng = random.Random(p)
+
+            def draw():
+                return F.el([rng.randrange(p) for _ in range(k)])
+
+            pairs = [(draw(), draw()) for _ in range(draws)]
+        vanishing = 0
+        for b, c in pairs:
+            delta = normal_form_discriminant(b, c)
+            assert delta == self._generic_discriminant(b, c)
+            if delta.is_zero():
+                vanishing += 1
+                with pytest.raises(DegenerateParams):
+                    WeierstrassCurve(1 - c, -b, -b, F.zero, F.zero)
+            else:
+                assert WeierstrassCurve(1 - c, -b, -b, F.zero, F.zero).discriminant() == delta
+        if draws is None:
+            assert vanishing > 0  # the exhaustive F_13 sweep meets singular (b, c)
+
     def test_degenerate_params_rejected(self, F11):
         assert normal_form_discriminant(F11.one, F11.one).is_zero()
         with pytest.raises(DegenerateParams):

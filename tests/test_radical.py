@@ -2,14 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from radicant import curve, radical
 from radicant.curve import (
     Point,
     degree5_curve,
     normal_form_discriminant,
     point_order,
 )
-from radicant.errors import DegenerateParams, DegenerateStep, NoRootError
+from radicant.errors import DegenerateParams, DegenerateStep, NoRootError, RadicantError
 from radicant.field import make_field, nth_roots
 from radicant.isogeny import is_distinguished, velu
 from radicant.radical import (
@@ -166,6 +169,95 @@ class TestChain:
         with pytest.raises(NoRootError) as err:
             radical_chain(F11.el(3), 2, policy="canonical")
         assert "step 0" in str(err.value)
+
+
+class TestNoRedundantChecks:
+    @pytest.fixture
+    def discriminant_calls(self, monkeypatch):
+        calls = []
+
+        def counted(b, c):
+            calls.append(b)
+            return normal_form_discriminant(b, c)
+
+        # curve's own name too, which TateParams uses
+        monkeypatch.setattr(radical, "normal_form_discriminant", counted)
+        monkeypatch.setattr(curve, "normal_form_discriminant", counted)
+        return calls
+
+    @pytest.mark.parametrize("p,k,b0", [(13, 1, 4), (1013, 2, (5, 7))])
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    def test_chain_checks_each_parameter_once(self, discriminant_calls, p, k, b0, steps):
+        # b0 once on entry, then each successor once, inside step_from_root
+        chain = radical_chain(make_field(p, k).el(b0), steps, "unique")
+        assert list(chain.b_values) == discriminant_calls
+        assert len(discriminant_calls) == steps + 1
+
+    @pytest.mark.parametrize("p,k,b", [(13, 1, 4), (1013, 2, (5, 7))])
+    def test_step_checks_input_and_successor(self, discriminant_calls, p, k, b):
+        step = radical_step_5(make_field(p, k).el(b), "unique")
+        assert discriminant_calls == [step.b, step.b_next]
+
+
+# F_p with 5 not dividing p - 1 (a unique root), F_p with 5 | p - 1 (five
+# roots of a fifth power), and F_{p^2} with p = +-2 mod 5 (a unique root)
+UNIQUE_PRIMES = [7, 13, 17, 19, 23, 29, 37, 43, 47, 1000003]
+SPLIT_PRIMES = [11, 31, 41, 61, 71, 101, 251]
+QUADRATIC_PRIMES = [7, 13, 17, 23, 37, 43]
+
+
+def _quotient_j(b):
+    return velu(degree5_curve(b), Point(b.ctx.zero, b.ctx.zero)).codomain.j_invariant()
+
+
+def _stepwise(b0, steps, policy):
+    """The chain as repeated radical_step_5 calls: (values, error or None)."""
+    values = [b0]
+    for i in range(steps):
+        try:
+            values.append(radical_step_5(values[-1], policy).b_next)
+        except RadicantError as exc:
+            return values, (type(exc), f"step {i}: {exc}")
+    return values, None
+
+
+class TestChainDifferential:
+    def _check(self, b0, steps, policy):
+        values, error = _stepwise(b0, steps, policy)
+        if error is None:
+            assert radical_chain(b0, steps, policy).b_values == tuple(values)
+        else:
+            with pytest.raises(error[0]) as err:
+                radical_chain(b0, steps, policy)
+            assert str(err.value) == error[1]
+        for b, b_next in zip(values, values[1:]):
+            assert degree5_curve(b_next).j_invariant() == _quotient_j(b)
+
+    @settings(max_examples=25)
+    @given(p=st.sampled_from(UNIQUE_PRIMES), v=st.integers(1, 10**6),
+           steps=st.integers(1, 6))
+    def test_prime_field_unique(self, p, v, steps):
+        b0 = make_field(p).el(v)
+        assume(not b0.is_zero() and not normal_form_discriminant(b0, b0).is_zero())
+        self._check(b0, steps, "unique")
+
+    @settings(max_examples=25)
+    @given(p=st.sampled_from(QUADRATIC_PRIMES), v=st.tuples(st.integers(0, 50), st.integers(1, 50)),
+           steps=st.integers(1, 4))
+    def test_quadratic_field_unique(self, p, v, steps):
+        b0 = make_field(p, 2).el(v)
+        assume(not normal_form_discriminant(b0, b0).is_zero())
+        self._check(b0, steps, "unique")
+
+    @settings(max_examples=25)
+    @given(p=st.sampled_from(SPLIT_PRIMES), v=st.integers(2, 10**6), steps=st.integers(1, 3))
+    def test_prime_field_every_root(self, p, v, steps):
+        F = make_field(p)
+        b0 = F.el(v) ** 5
+        assume(not b0.is_zero() and not normal_form_discriminant(b0, b0).is_zero())
+        assert len(nth_roots(b0, 5)) == 5
+        for i in range(5):
+            self._check(b0, steps, f"index:{i}")
 
 
 class TestReferenceOracle:
