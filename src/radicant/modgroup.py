@@ -4,6 +4,12 @@ Everything happens inside SL2(Z/M): the infinite groups are represented by
 the congruence conditions defining them, and reduction mod M is surjective
 onto the matrices satisfying those conditions, so orders, indices and
 normality can be decided exhaustively.
+
+The members of a subgroup are generated from its congruences: a, b and c
+step through their residue classes and d is solved from the determinant, so
+only members are ever visited, in the lexicographic (a, b, c, d) order of
+``sl2_elements``.  Filtering ``sl2_elements`` through ``member`` is the
+independent oracle the tests compare that generator against.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ class Mat2:
     M: int
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError("the modulus must be at least 1")
         object.__setattr__(self, "a", self.a % self.M)
         object.__setattr__(self, "b", self.b % self.M)
         object.__setattr__(self, "c", self.c % self.M)
@@ -79,6 +87,8 @@ class SubgroupSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown subgroup kind {self.kind!r}")
+        if self.N < 1 or self.M < 1:
+            raise ValueError("the level and the modulus must be at least 1")
         if self.kind == "gamma1_rescaled":
             if self.M != self.N * self.N:
                 raise ValueError("the rescaled subgroup lives at modulus N^2")
@@ -94,14 +104,15 @@ def member(m: Mat2, s: SubgroupSpec) -> bool:
     N = s.N
     if s.kind == "full":
         return True
+    one = 1 % N  # at N = 1 every residue is 0
     if s.kind == "gamma":
-        return a % N == 1 and d % N == 1 and b % N == 0 and c % N == 0
+        return a % N == one and d % N == one and b % N == 0 and c % N == 0
     if s.kind == "gamma1":
-        return a % N == 1 and d % N == 1 and c % N == 0
+        return a % N == one and d % N == one and c % N == 0
     if s.kind == "gamma0":
         return c % N == 0
     # gamma1_rescaled: c = 0 mod N^2, a = d = 1 mod N
-    return c % (N * N) == 0 and a % N == 1 and d % N == 1
+    return c % (N * N) == 0 and a % N == one and d % N == one
 
 
 def _solve_d(a: int, rhs: int, M: int) -> list:
@@ -141,32 +152,64 @@ def sl2_count_formula(M: int) -> int:
     return n
 
 
+# Congruence steps (e_a, e_b, e_c, e_d) per kind: a member satisfies
+# a = 1 (mod N^e_a), b = 0 (mod N^e_b), c = 0 (mod N^e_c), d = 1 (mod N^e_d).
+_CONGRUENCE_STEPS = {
+    "full": (0, 0, 0, 0),
+    "gamma": (1, 1, 1, 1),
+    "gamma1": (1, 0, 1, 1),
+    "gamma0": (0, 0, 1, 0),
+    "gamma1_rescaled": (1, 0, 2, 1),
+}
+
+
+def _members(s: SubgroupSpec, bound: int) -> Iterator[tuple]:
+    """The (a, b, c, d) members of s, in the order of sl2_elements.
+
+    Every step divides M (the spec checks N | M, or M = N^2 for the rescaled
+    kind), so range(r, M, n) is exactly the residues mod M that are r mod n.
+    In every row the d congruence already follows from a, c and det = 1;
+    filtering on it keeps the generator exact for the table as written.
+    """
+    M = s.M
+    if M > bound:
+        raise EnumerationBound(f"modulus {M} exceeds the enumeration bound {bound}")
+    n_a, n_b, n_c, n_d = (s.N**e for e in _CONGRUENCE_STEPS[s.kind])
+    one_d = 1 % n_d
+    for a in range(1 % n_a, M, n_a):
+        for b in range(0, M, n_b):
+            for c in range(0, M, n_c):
+                for d in _solve_d(a, (1 + b * c) % M, M):
+                    if d % n_d == one_d:
+                        yield (a, b, c, d)
+
+
 def subgroup_elements(s: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> list:
     """All matrices of the finite image, as Mat2 values."""
-    out = []
-    for a, b, c, d in sl2_elements(s.M, bound):
-        m = Mat2(a, b, c, d, s.M)
-        if member(m, s):
-            out.append(m)
-    return out
+    return [Mat2(*t, s.M) for t in _members(s, bound)]
 
 
 def subgroup_order(s: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> int:
-    return len(subgroup_elements(s, bound))
+    return sum(1 for _ in _members(s, bound))
+
+
+def _contained_members(sub: SubgroupSpec, sup: SubgroupSpec, bound: int) -> tuple:
+    """(members of sub, members of sup) after checking sub lies in sup."""
+    sub_elems = list(_members(sub, bound))
+    sup_elems = list(_members(sup, bound))
+    if not set(sup_elems).issuperset(sub_elems):
+        raise ValueError("first argument is not contained in the second")
+    return sub_elems, sup_elems
 
 
 def index(sub: SubgroupSpec, sup: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> int:
     """Index of sub in sup over the common finite image."""
     if sub.M != sup.M:
         raise ValueError("index needs a common ambient modulus")
-    sub_elems = subgroup_elements(sub, bound)
-    for m in sub_elems:
-        if not member(m, sup):
-            raise ValueError("first argument is not contained in the second")
-    sup_order = subgroup_order(sup, bound)
-    if sup_order % len(sub_elems) != 0:
+    sub_elems, sup_elems = _contained_members(sub, sup, bound)
+    if len(sup_elems) % len(sub_elems) != 0:
         raise ValueError("orders are incompatible")
-    return sup_order // len(sub_elems)
+    return len(sup_elems) // len(sub_elems)
 
 
 @dataclass(frozen=True)
@@ -176,23 +219,26 @@ class NormalityReport:
 
 
 def is_normal(sub: SubgroupSpec, sup: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> NormalityReport:
-    """Exhaustive conjugation test of sub inside sup, with witness."""
+    """Exhaustive conjugation test of sub inside sup, with witness.
+
+    The witness is the first failing (g, h) with g and h in member order.
+    """
     if sub.M != sup.M:
         raise ValueError("normality needs a common ambient modulus")
-    sub_elems = subgroup_elements(sub, bound)
-    sub_set = {m.entries() for m in sub_elems}
-    for m in sub_elems:
-        if not member(m, sup):
-            raise ValueError("first argument is not contained in the second")
-    for g_t in sl2_elements(sup.M, bound):
-        g = Mat2(*g_t, sup.M)
-        if not member(g, sup):
-            continue
-        gi = g.inv()
+    sub_elems, sup_elems = _contained_members(sub, sup, bound)
+    sub_set = set(sub_elems)
+    M = sup.M
+    for g in sup_elems:
+        ga, gb, gc, gd = g
         for h in sub_elems:
-            conj = g * h * gi
-            if conj.entries() not in sub_set:
-                return NormalityReport(False, (g, h, conj))
+            ha, hb, hc, hd = h
+            # (g h) g^-1 with g^-1 = (d, -b, -c, a)
+            pa, pb = ga * ha + gb * hc, ga * hb + gb * hd
+            pc, pd = gc * ha + gd * hc, gc * hb + gd * hd
+            conj = ((pa * gd - pb * gc) % M, (pb * ga - pa * gb) % M,
+                    (pc * gd - pd * gc) % M, (pd * ga - pc * gb) % M)
+            if conj not in sub_set:
+                return NormalityReport(False, (Mat2(*g, M), Mat2(*h, M), Mat2(*conj, M)))
     return NormalityReport(True, None)
 
 

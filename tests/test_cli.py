@@ -132,6 +132,45 @@ class TestOtherCommands:
         assert payload["index"] == 5
         assert payload["gamma1_n2_normal"] is True
 
+    def test_groups_range_output(self, capsys):
+        # members are generated from their congruences, not filtered out of SL2
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "groups", "--n", "2..7")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        assert out == (
+            '{"groups":['
+            '{"N":2,"gamma1_n2_normal":true,"gamma1_n2_order":4,"index":2,'
+            '"rescale_matrix":[3,3,0,3],"rescaled_order":8,"sl2_order_mod_n2":48},'
+            '{"N":3,"gamma1_n2_normal":true,"gamma1_n2_order":9,"index":3,'
+            '"rescale_matrix":[7,8,0,4],"rescaled_order":27,"sl2_order_mod_n2":648},'
+            '{"N":4,"gamma1_n2_normal":true,"gamma1_n2_order":16,"index":4,'
+            '"rescale_matrix":[13,15,0,5],"rescaled_order":64,"sl2_order_mod_n2":3072},'
+            '{"N":5,"gamma1_n2_normal":true,"gamma1_n2_order":25,"index":5,'
+            '"rescale_matrix":[21,24,0,6],"rescaled_order":125,"sl2_order_mod_n2":15000},'
+            '{"N":6,"gamma1_n2_normal":true,"gamma1_n2_order":36,"index":6,'
+            '"rescale_matrix":[31,35,0,7],"rescaled_order":216,"sl2_order_mod_n2":31104},'
+            '{"N":7,"gamma1_n2_normal":true,"gamma1_n2_order":49,"index":7,'
+            '"rescale_matrix":[43,48,0,8],"rescaled_order":343,"sl2_order_mod_n2":115248}'
+            ']}\n'
+        )
+
+    def test_groups_level_one(self, capsys):
+        code, out, _ = run_cli(capsys, "groups", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["groups"] == [{
+            "N": 1, "gamma1_n2_normal": True, "gamma1_n2_order": 1, "index": 1,
+            "rescale_matrix": [0, 0, 0, 0], "rescaled_order": 1, "sl2_order_mod_n2": 1,
+        }]
+
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    def test_groups_invalid_level(self, capsys, level):
+        code, out, err = run_cli(capsys, "groups", "--n", level)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "at least 1" in err
+
     def test_pairing_output(self, capsys):
         code, out, _ = run_cli(capsys, "pairing", "--p", "11", "--b", "2")
         assert code == 0

@@ -2,6 +2,7 @@ import pytest
 
 from radicant.errors import EnumerationBound
 from radicant.modgroup import (
+    SL2_ENUM_BOUND,
     Mat2,
     NormalityReport,
     SubgroupSpec,
@@ -16,6 +17,7 @@ from radicant.modgroup import (
     sl2_elements,
     subgroup_elements,
     subgroup_order,
+    _members,
 )
 
 
@@ -23,6 +25,11 @@ class TestMat2:
     def test_determinant_enforced(self):
         with pytest.raises(ValueError):
             Mat2(1, 0, 0, 2, 5)
+
+    @pytest.mark.parametrize("M", [0, -1, -25])
+    def test_modulus_must_be_positive(self, M):
+        with pytest.raises(ValueError):
+            Mat2(1, 0, 0, 1, M)
 
     def test_inverse(self):
         t = rescale_matrix(5)
@@ -83,6 +90,27 @@ class TestMembership:
         with pytest.raises(ValueError):
             SubgroupSpec("borel", 5, 5)
 
+    @pytest.mark.parametrize("kind, N, M", [
+        ("gamma1_rescaled", 0, 0),
+        ("gamma1", 0, 0),
+        ("gamma1_rescaled", -3, 9),
+        ("gamma1", -3, 9),
+        ("full", 1, 0),
+        ("full", 0, 5),
+        ("gamma0", 1, -4),
+    ])
+    def test_level_and_modulus_must_be_positive(self, kind, N, M):
+        with pytest.raises(ValueError):
+            SubgroupSpec(kind, N, M)
+
+    def test_level_one_is_everything(self):
+        # every residue is 0 mod 1, so Gamma(1) = Gamma1(1) = SL2(Z/M)
+        for kind in ("gamma", "gamma1", "gamma0"):
+            s = SubgroupSpec(kind, 1, 5)
+            assert subgroup_order(s) == 120
+            assert index(s, SubgroupSpec("full", 1, 5)) == 1
+        assert all(member(Mat2(*t, 5), SubgroupSpec("gamma", 1, 5)) for t in sl2_elements(5))
+
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             member(identity(5), SubgroupSpec("gamma1", 5, 25))
@@ -104,6 +132,40 @@ class TestOrders:
     def test_gamma0_4_index(self):
         order = subgroup_order(SubgroupSpec("gamma0", 4, 4))
         assert sl2_count(4) // order == 6
+
+
+def _specs_at(M):
+    specs = [SubgroupSpec(kind, N, M)
+             for kind in ("full", "gamma", "gamma1", "gamma0")
+             for N in range(1, M + 1) if M % N == 0]
+    specs += [SubgroupSpec("gamma1_rescaled", N, M) for N in range(1, M + 1) if N * N == M]
+    return specs
+
+
+class TestGeneratedMembers:
+    @pytest.mark.parametrize("M", range(1, 31))
+    def test_matches_filter_oracle(self, M):
+        # the sl2_elements + member filter is the oracle for the generator
+        mats = [Mat2(*t, M) for t in sl2_elements(M)]
+        for s in _specs_at(M):
+            expected = [m.entries() for m in mats if member(m, s)]
+            assert list(_members(s, SL2_ENUM_BOUND)) == expected, s
+
+    @pytest.mark.parametrize("call", [
+        lambda s, t: subgroup_order(s),
+        lambda s, t: subgroup_elements(s),
+        lambda s, t: index(s, t),
+        lambda s, t: is_normal(s, t),
+    ], ids=["subgroup_order", "subgroup_elements", "index", "is_normal"])
+    def test_enumeration_bound(self, call):
+        with pytest.raises(EnumerationBound):
+            call(SubgroupSpec("gamma1", 8, 64), SubgroupSpec("gamma0", 8, 64))
+
+    def test_bound_is_the_modulus(self):
+        # a small subgroup above the bound is still refused
+        with pytest.raises(EnumerationBound):
+            subgroup_order(SubgroupSpec("gamma", 8, 8), bound=7)
+        assert subgroup_order(SubgroupSpec("gamma", 8, 8), bound=8) == 1
 
 
 class TestIndex:
@@ -149,6 +211,27 @@ class TestNormality:
         g, h, conj = rep.witness
         assert (g * h * g.inv()).entries() == conj.entries()
         assert not member(conj, SubgroupSpec("gamma1", 5, 5))
+
+    @pytest.mark.parametrize("sub, sup, witness", [
+        (("gamma1", 5, 5), ("full", 5, 5), ((0, 1, 4, 0), (1, 1, 0, 1), (1, 0, 4, 1))),
+        (("gamma0", 4, 4), ("full", 4, 4), ((0, 1, 3, 0), (1, 1, 0, 1), (1, 0, 3, 1))),
+        (("gamma0", 2, 2), ("full", 2, 2), ((0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1))),
+        (("gamma0", 6, 6), ("full", 6, 6), ((0, 1, 5, 0), (1, 1, 0, 1), (1, 0, 5, 1))),
+        (("gamma1", 4, 4), ("gamma0", 2, 4), ((1, 0, 2, 1), (1, 1, 0, 1), (3, 1, 0, 3))),
+        (("gamma1", 9, 9), ("gamma0", 3, 9), ((1, 0, 3, 1), (1, 1, 0, 1), (7, 1, 0, 4))),
+        (("gamma1", 16, 16), ("gamma0", 4, 16), ((1, 0, 4, 1), (1, 1, 0, 1), (13, 1, 0, 5))),
+        # Gamma1(N) is the kernel of Gamma0(N) -> (Z/N)^x, d mod N
+        (("gamma1", 3, 3), ("gamma0", 3, 3), None),
+        (("gamma1", 4, 4), ("gamma0", 4, 4), None),
+        (("gamma1", 6, 6), ("gamma0", 6, 6), None),
+        (("gamma1", 3, 9), ("gamma0", 3, 9), None),
+    ])
+    def test_pinned_witnesses(self, sub, sup, witness):
+        # the first failing (g, h) in member order, as the exhaustive scan finds it
+        rep = is_normal(SubgroupSpec(*sub), SubgroupSpec(*sup))
+        assert rep.normal is (witness is None)
+        got = None if rep.witness is None else tuple(m.entries() for m in rep.witness)
+        assert got == witness
 
     def test_conjugation_closed_form_all_unipotents(self):
         t = rescale_matrix(5)
