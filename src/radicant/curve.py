@@ -1,7 +1,8 @@
 """General Weierstrass curves over small finite fields.
 
 Provides the chord-tangent group law, exhaustive point enumeration with a
-Hasse-interval self check, point orders, torsion bases (by enumeration or
+Hasse-interval self check, point orders, division polynomials and the
+rational N-torsion read off their roots, torsion bases (by enumeration or
 by cofactor sampling over an extension), the unique normal form carrying a
 marked point at (0,0), and exact isomorphism search between curves.
 """
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
+from sympy import isprime
+
+from . import poly
 from .errors import (
     ContextMismatch,
     DegenerateParams,
@@ -432,13 +436,75 @@ def full_torsion_degree(E: WeierstrassCurve, N: int, max_degree: int = 8):
     )
 
 
+def division_polynomial(E: WeierstrassCurve, n: int) -> list:
+    """The division polynomial psi_n for odd n >= 1, in x (constant first).
+
+    Its roots are the x-coordinates of the points P != O with [n]P = O, and
+    its leading coefficient is n.  Built by the standard recursion on the
+    b-invariants (Washington, Elliptic Curves, section 3.2):
+        psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3,
+        psi_{2m} = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / psi_2.
+    Even indices are carried as f_m = psi_m / psi_2, a polynomial in x, with
+    psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"division polynomials are built for odd n >= 1, got {n}")
+    ctx = E.ctx
+    b2, b4, b6, b8 = E.b_invariants()
+    psi2_sq = [b6, 2 * b4, b2, ctx.el(4)]
+    psi2_4th = poly.mul(psi2_sq, psi2_sq, ctx)
+    f = {
+        0: [ctx.zero],
+        1: [ctx.one],
+        2: [ctx.one],
+        3: [b8, 3 * b6, 3 * b4, b2, ctx.el(3)],
+        4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2,
+            ctx.el(2)],
+    }
+
+    def mul(*factors):
+        out = factors[0]
+        for g in factors[1:]:
+            out = poly.mul(out, g, ctx)
+        return out
+
+    def get(m):
+        if m not in f:
+            k = m // 2
+            if m % 2:
+                # one of psi_{m+2} psi_m^3, psi_{m-1} psi_{m+1}^3 has two even
+                # indices, whose psi_2^4 is restored here
+                hi = mul(get(k + 2), get(k), get(k), get(k))
+                lo = mul(get(k - 1), get(k + 1), get(k + 1), get(k + 1))
+                if k % 2 == 0:
+                    hi = poly.mul(psi2_4th, hi, ctx)
+                else:
+                    lo = poly.mul(psi2_4th, lo, ctx)
+                f[m] = poly.sub(hi, lo, ctx)
+            else:
+                f[m] = poly.mul(get(k), poly.sub(
+                    mul(get(k + 2), get(k - 1), get(k - 1)),
+                    mul(get(k - 2), get(k + 1), get(k + 1)), ctx), ctx)
+        return f[m]
+
+    return poly.trim(get(n), ctx)
+
+
 def points_of_order(E: WeierstrassCurve, N: int) -> list:
-    """All rational points of exact order N, by enumeration."""
-    out = []
-    for P in enumerate_points(E):
-        if not P.is_infinity and has_order(E, P, N):
-            out.append(P)
-    return out
+    """All rational points of exact order N, in enumeration order.
+
+    For odd N the x-coordinates are the rational roots of psi_N, each giving
+    its points through the curve equation, so nothing is enumerated; for
+    prime N every such point has order exactly N.  Even N enumerates.
+    """
+    if N % 2 == 0:
+        candidates = enumerate_points(E)
+    else:
+        candidates = [P for x in poly.roots(division_polynomial(E, N), E.ctx)
+                      for P in _points_for_x(E, x)]
+        if isprime(N):
+            return candidates
+    return [P for P in candidates if not P.is_infinity and has_order(E, P, N)]
 
 
 def rational_point_of_order(E: WeierstrassCurve, n: int, above: Optional[Point] = None):
@@ -598,21 +664,35 @@ def to_tate_normal(E: WeierstrassCurve, P: Point, N: int):
 def isomorphisms(E1: WeierstrassCurve, E2: WeierstrassCurve) -> Iterator[CurveIso]:
     """All isomorphisms E1 -> E2 in canonical order of the scale factor u.
 
-    For each u the remaining parameters (s, r, t) are forced by the a1, a2,
-    a3 transformation equations, so the scan is linear in the field size.
+    Each u forces the rest (`isomorphism_with_scale`), so the scan is linear
+    in the field size.
     """
     if E1.ctx != E2.ctx:
         raise ContextMismatch("isomorphism search needs a common base field")
     if E1.j_invariant() != E2.j_invariant():
         return
-    a1, a2, a3 = E1.a1, E1.a2, E1.a3
     for u in E1.ctx.nonzero_elements():
-        s = (u * E2.a1 - a1) / 2
-        r = (u * u * E2.a2 - a2 + s * a1 + s * s) / 3
-        t = (u**3 * E2.a3 - a3 - r * a1) / 2
-        b1, b2, b3, b4, b6 = _transformed_coeffs(E1, u, r, s, t)
-        if b4 == E2.a4 and b6 == E2.a6:
-            yield CurveIso(u, r, s, t, E1, E2)
+        iso = isomorphism_with_scale(E1, E2, u)
+        if iso is not None:
+            yield iso
+
+
+def isomorphism_with_scale(
+    E1: WeierstrassCurve, E2: WeierstrassCurve, u: FieldElement
+) -> Optional[CurveIso]:
+    """The isomorphism E1 -> E2 with scale factor u, or None.
+
+    The a1, a2, a3 transformation equations force (s, r, t) for p >= 5; the
+    a4 and a6 equations then decide whether they give an isomorphism.
+    """
+    a1, a2, a3 = E1.a1, E1.a2, E1.a3
+    s = (u * E2.a1 - a1) / 2
+    r = (u * u * E2.a2 - a2 + s * a1 + s * s) / 3
+    t = (u**3 * E2.a3 - a3 - r * a1) / 2
+    b1, b2, b3, b4, b6 = _transformed_coeffs(E1, u, r, s, t)
+    if b4 == E2.a4 and b6 == E2.a6:
+        return CurveIso(u, r, s, t, E1, E2)
+    return None
 
 
 def find_isomorphism(

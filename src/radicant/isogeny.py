@@ -1,18 +1,24 @@
 """Separable isogenies with cyclic kernel via Velu's formulas.
 
 The dual is built constructively: its kernel is the image of the full
-N-torsion under the forward map, realized either by scanning the rational
-order-N subgroups of the codomain or, when those do not suffice, by
-sampling an N-torsion basis over a small extension.  Candidate duals are
-pinned down by the defining relation  dual o phi = [N],  which determines
-the dual uniquely.
+N-torsion under the forward map, realized either by the rational order-N
+subgroups of the codomain (read off the roots of the division polynomial
+psi_N) or, when none of those is that image, by sampling an N-torsion basis
+over a small extension.  A candidate iso o psi, with psi a Velu quotient of
+the codomain, is the dual exactly when
+  (a) ker(psi o phi) = E[N], an identity of kernel polynomials over the base
+      field against psi_N; and
+  (b) iso scales the invariant differential by u = N, as [N] does.
+(a) gives psi o phi = lambda o [N] for an isomorphism lambda, and (b) makes
+iso o lambda the automorphism with scale 1, the identity for p >= 5.  The
+check enumerates and samples no points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
+from . import poly
 from .curve import (
     CurveIso,
     Point,
@@ -20,14 +26,13 @@ from .curve import (
     base_change,
     descend_curve,
     descend_point,
+    division_polynomial,
     enumerate_points,
     enum_bound,
     full_torsion_degree,
-    group_order,
     has_order,
-    isomorphisms,
+    isomorphism_with_scale,
     lift_point,
-    point_order,
     points_of_order,
 )
 from .errors import RadicantError, TorsionUnavailable
@@ -47,6 +52,27 @@ class Isogeny:
         return evaluate(self, P)
 
 
+def _velu_terms(E: WeierstrassCurve, kernel) -> list:
+    """Velu's per-point data (x_Q, t_Q, u_Q), one entry per kernel point up
+    to sign; `velu` sums it for the codomain and `_x_map` for x o phi."""
+    a1, a2, a3, a4 = E.a1, E.a2, E.a3, E.a4
+    terms = []
+    seen = set()
+    for Q in kernel:
+        key = Q.x.coeffs
+        if key in seen:
+            continue
+        gx = 3 * Q.x * Q.x + 2 * a2 * Q.x + a4 - a1 * Q.y
+        gy = -2 * Q.y - a1 * Q.x - a3
+        if Q == E.neg(Q):  # two-torsion point
+            tQ = gx
+        else:
+            tQ = 2 * gx - a1 * gy
+            seen.add(key)
+        terms.append((Q.x, tQ, gy * gy))
+    return terms
+
+
 def velu(E: WeierstrassCurve, K: Point) -> Isogeny:
     """Quotient isogeny E -> E/<K> for a finite kernel generator K."""
     E.require(K)
@@ -62,23 +88,29 @@ def velu(E: WeierstrassCurve, K: Point) -> Isogeny:
     b2 = a1 * a1 + 4 * a2
     t_acc = E.ctx.zero
     w_acc = E.ctx.zero
-    seen = set()
-    for Q in kernel:
-        key = Q.x.coeffs
-        if key in seen:
-            continue
-        gx = 3 * Q.x * Q.x + 2 * a2 * Q.x + a4 - a1 * Q.y
-        gy = -2 * Q.y - a1 * Q.x - a3
-        if Q == E.neg(Q):  # two-torsion point
-            tQ = gx
-        else:
-            tQ = 2 * gx - a1 * gy
-            seen.add(key)
-        uQ = gy * gy
+    for xQ, tQ, uQ in _velu_terms(E, kernel):
         t_acc = t_acc + tQ
-        w_acc = w_acc + uQ + Q.x * tQ
+        w_acc = w_acc + uQ + xQ * tQ
     codomain = WeierstrassCurve(a1, a2, a3, a4 - 5 * t_acc, a6 - b2 * t_acc - 7 * w_acc)
     return Isogeny(E, codomain, K, n, tuple(kernel))
+
+
+def _x_map(phi: Isogeny):
+    """(num, D) with x o phi = num / D^2, where D is the kernel polynomial.
+
+    Velu: x o phi = x + sum over Q of t_Q / (x - x_Q) + u_Q / (x - x_Q)^2.
+    """
+    ctx = phi.domain.ctx
+    terms = _velu_terms(phi.domain, phi.kernel_points)
+    D = [ctx.one]
+    for xQ, _, _ in terms:
+        D = poly.mul(D, [-xQ, ctx.one], ctx)
+    num = poly.mul([ctx.zero, ctx.one], poly.mul(D, D, ctx), ctx)
+    for xQ, tQ, uQ in terms:
+        rest = poly.divmod_(D, [-xQ, ctx.one], ctx)[0]
+        term = poly.mul([uQ - tQ * xQ, tQ], poly.mul(rest, rest, ctx), ctx)
+        num = poly.add(num, term, ctx)
+    return num, D
 
 
 def evaluate(phi: Isogeny, P: Point) -> Point:
@@ -126,90 +158,88 @@ class DualIsogeny:
 
 
 def _verify_dual(cand: "DualIsogeny") -> bool:
-    """Exact check that cand o phi = [N] as maps.
+    """Exact check that cand o phi = [N] as maps, for cand = iso o psi.
 
-    The difference of two isogenies E -> E of degree N^2 is a homomorphism
-    whose kernel has at most 4 N^2 elements, so agreement on points whose
-    orders have lcm above that bound proves equality of the maps.  A point
-    with [lcm]X = O has order dividing the lcm and leaves it unchanged, so
-    its order is computed only when [lcm]X != O.
+    (a) Kernel identity.  With x o phi = num / D^2 and psi's kernel
+    polynomial D_psi = sum c_i x^i of degree d,
+        D * sum c_i num^i D^(2(d-i))
+    vanishes exactly on the x-coordinates of ker(psi o phi) - {O}, each once.
+    It is monic, so it equals monic(psi_N(E)) iff ker(psi o phi) = E[N],
+    and then psi o phi = lambda o [N] for an isomorphism lambda.
+    (b) Scale.  Velu maps keep the invariant differential, [N] multiplies it
+    by N, and iso multiplies it by its scale u.  So iso o lambda has scale
+    u / N, and for p >= 5 the automorphism with scale 1 is the identity:
+    cand o phi = [N] iff u = N.
+    Both are identities over the base field; no point is enumerated or
+    sampled.
     """
-    import math as _math
-
     phi = cand.forward
     E = phi.domain
-    N = phi.degree
-    bound = 4 * N * N
-    lcm_acc = 1
-    # rational evidence first
-    n1 = group_order(E)
-    for X in enumerate_points(E):
-        if X.is_infinity:
-            continue
-        if cand(evaluate(phi, X)) != E.mul(N, X):
-            return False
-        if not E.mul(lcm_acc, X).is_infinity:
-            lcm_acc = _math.lcm(lcm_acc, point_order(E, X, n1))
-            if lcm_acc > bound:
-                return True
-    # the rational group has small exponent: escalate to extension sampling
-    from .curve import _rng_for, order_over_extension, random_point
-    from .field import make_field
-
     base = E.ctx
-    if base.k != 1:
+    if cand.back_iso.u != phi.degree:
         return False
-    d = 2 if cand.ext_ctx == base else cand.ext_ctx.k
-    while order_over_extension(E, d) <= bound:
-        d += 1
-    ext = make_field(base.p, d) if cand.ext_ctx == base else cand.ext_ctx
-    n_ext = order_over_extension(E, ext.k)
-    Ee = base_change(E, ext)
-    phi_e = velu(Ee, lift_point(phi.kernel_generator, ext))
-    rng = _rng_for(E, f"dualcheck:{N}")
-    for _ in range(80):
-        X = random_point(Ee, rng)
-        if _dual_eval_ext(phi, evaluate(phi_e, X), ext, cand) != Ee.mul(N, X):
+    D_psi = _x_map(cand.quotient)[1]
+    if cand.ext_ctx != base:
+        # the dual kernel phi(E[N]) is Galois-stable, so its D_psi descends
+        try:
+            D_psi = [cand.ext_ctx.descend(c, base) for c in D_psi]
+        except ValueError:
             return False
-        if not Ee.mul(lcm_acc, X).is_infinity:
-            lcm_acc = _math.lcm(lcm_acc, point_order(Ee, X, n_ext))
-            if lcm_acc > bound:
-                return True
-    return False
+    num, D = _x_map(phi)
+    D_sq = poly.mul(D, D, base)
+    # homogeneous Horner: acc_j = sum_{i >= j} c_i num^(i-j) (D^2)^(d-i)
+    acc, D_sq_pow = [D_psi[-1]], [base.one]
+    for c in reversed(D_psi[:-1]):
+        D_sq_pow = poly.mul(D_sq_pow, D_sq, base)
+        acc = poly.add(poly.mul(acc, num, base), [c * e for e in D_sq_pow], base)
+    kernel_poly = poly.trim(poly.mul(D, acc, base), base)
+    return kernel_poly == poly.monic(division_polynomial(E, phi.degree), base)
 
 
-def _candidates(phi: Isogeny, psi: Isogeny, ext_ctx):
-    """Dual candidates closing psi o phi up to isomorphism onto the domain."""
+def _candidate(phi: Isogeny, psi: Isogeny, ext_ctx):
+    """iso o psi with iso of scale u = N onto the domain, or None.
+
+    Only that scale can close psi o phi to [N] (see `_verify_dual`), and it
+    forces the rest of iso, so no other isomorphism is tried.
+    """
     E = phi.domain
     base = E.ctx
-    if ext_ctx == base:
-        quotient_codomain = psi.codomain
-    else:
+    quotient_codomain = psi.codomain
+    if ext_ctx != base:
         try:
             quotient_codomain = descend_curve(psi.codomain, base)
         except ValueError:
-            return
-    for iso in isomorphisms(quotient_codomain, E):
-        yield DualIsogeny(phi, psi, iso, ext_ctx)
+            return None
+    iso = isomorphism_with_scale(quotient_codomain, E, base.el(phi.degree))
+    return None if iso is None else DualIsogeny(phi, psi, iso, ext_ctx)
 
 
 def dual_isogeny(phi: Isogeny) -> DualIsogeny:
-    """The dual of phi, characterized by dual o phi = [deg phi]."""
+    """The dual of phi, characterized by dual o phi = [deg phi].
+
+    Raises ValueError when the characteristic divides deg phi: that dual is
+    inseparable, so it is no Velu quotient.
+    """
     E, E2, N = phi.domain, phi.codomain, phi.degree
+    p = E.ctx.p
+    if N % p == 0:
+        raise ValueError(
+            f"characteristic {p} divides deg phi = {N}: the dual is inseparable, "
+            f"so no Velu quotient has the scale u = {N} = 0 it needs"
+        )
     # rational route: the dual kernel is often pointwise rational (it always
     # is when q = 1 mod N and the forward kernel is rational)
-    if E2.ctx.q <= enum_bound():
-        seen_subgroups = set()
-        for K in points_of_order(E2, N):
-            sub = frozenset(
-                (Q.x.coeffs, Q.y.coeffs) for Q in E2.subgroup(K) if not Q.is_infinity
-            )
-            if sub in seen_subgroups:
-                continue
-            seen_subgroups.add(sub)
-            for cand in _candidates(phi, velu(E2, K), E2.ctx):
-                if _verify_dual(cand):
-                    return cand
+    seen_subgroups = set()
+    for K in points_of_order(E2, N):
+        sub = frozenset(
+            (Q.x.coeffs, Q.y.coeffs) for Q in E2.subgroup(K) if not Q.is_infinity
+        )
+        if sub in seen_subgroups:
+            continue
+        seen_subgroups.add(sub)
+        cand = _candidate(phi, velu(E2, K), E2.ctx)
+        if cand is not None and _verify_dual(cand):
+            return cand
     # extension route: push a full torsion basis through phi
     if E.ctx.k != 1:
         raise TorsionUnavailable("dual construction needs a prime base field")
@@ -220,9 +250,9 @@ def dual_isogeny(phi: Isogeny) -> DualIsogeny:
         K = evaluate(phi_ext, Q)
         if K.is_infinity:
             continue
-        for cand in _candidates(phi, velu(base_change(E2, ext), K), ext):
-            if _verify_dual(cand):
-                return cand
+        cand = _candidate(phi, velu(base_change(E2, ext), K), ext)
+        if cand is not None and _verify_dual(cand):
+            return cand
     raise RadicantError("failed to construct the dual isogeny")
 
 
@@ -293,10 +323,9 @@ def _lift_iso(iso: CurveIso, ext) -> CurveIso:
     )
 
 
-def _dual_eval_ext(phi: Isogeny, P2: Point, ext, dual: "DualIsogeny" = None) -> Point:
-    """Evaluate a dual (the cached one by default) on an extension point."""
-    if dual is None:
-        dual = cached_dual(phi)
+def _dual_eval_ext(phi: Isogeny, P2: Point, ext) -> Point:
+    """Evaluate the cached dual on an extension point."""
+    dual = cached_dual(phi)
     base = phi.domain.ctx
     if dual.ext_ctx == base:
         quotient = velu(

@@ -1,11 +1,14 @@
 """Dense univariate polynomials with FieldElement coefficients.
 
 Hosts the one Rabin irreducibility test, used over any F_{p^k}; make_field
-bootstraps through it over the prime field F_p.  Polynomials are lists,
-constant term first.
+bootstraps through it over the prime field F_p.  `roots` finds the roots in
+the field by Cantor-Zassenhaus splitting.  Polynomials are lists, constant
+term first.
 """
 
 from __future__ import annotations
+
+import random
 
 from sympy import factorint
 
@@ -47,20 +50,21 @@ def divmod_(f, g, ctx):
     f, g = trim(f, ctx), trim(g, ctx)
     if g == [ctx.zero]:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [ctx.zero] * max(1, len(f) - len(g) + 1)
+    n = len(g) - 1
+    if len(f) <= n:
+        return [ctx.zero], f
     r = f[:]
+    q = [ctx.zero] * (len(f) - n)
     inv_lead = g[-1].inverse()
-    while len(r) >= len(g):
-        r = trim(r, ctx)
-        if len(r) < len(g) or r == [ctx.zero]:
-            break
-        coef = r[-1] * inv_lead
-        deg = len(r) - len(g)
-        q[deg] = coef
-        for i, c in enumerate(g):
-            r[deg + i] = r[deg + i] - coef * c
-        r = trim(r, ctx)
-    return trim(q, ctx), trim(r, ctx)
+    for i in range(len(f) - 1, n - 1, -1):
+        coef = r[i]
+        if coef.is_zero():
+            continue
+        coef = coef * inv_lead
+        q[i - n] = coef
+        for j in range(n):  # r[i] itself cancels
+            r[i - n + j] = r[i - n + j] - coef * g[j]
+    return trim(q, ctx), trim(r[:n] or [ctx.zero], ctx)
 
 
 def powmod(base, exponent: int, modpoly, ctx):
@@ -75,13 +79,55 @@ def powmod(base, exponent: int, modpoly, ctx):
     return result
 
 
+def monic(f, ctx):
+    """f scaled to leading coefficient 1 (f must be nonzero)."""
+    f = trim(f, ctx)
+    if f[-1] == ctx.one:
+        return f
+    inv_lead = f[-1].inverse()
+    return [c * inv_lead for c in f]
+
+
 def gcd(f, g, ctx):
     f, g = trim(f, ctx), trim(g, ctx)
     while g != [ctx.zero]:
         f, g = g, divmod_(f, g, ctx)[1]
     if f != [ctx.zero]:
-        f = [c * f[-1].inverse() for c in f]
+        f = monic(f, ctx)
     return f
+
+
+def roots(f, ctx) -> list:
+    """The distinct roots of f in the field, in canonical element order.
+
+    g = gcd(f, x^q - x) is the product of the distinct linear factors of f.
+    Cantor-Zassenhaus splits it: for random a, gcd(g, (x + a)^((q-1)/2) - 1)
+    takes each root r with r + a a nonzero square, so it is a proper factor
+    about half the time.  The rng has a fixed seed; the root set is unique
+    anyway.
+    """
+    f = trim(f, ctx)
+    if f == [ctx.zero]:
+        raise ValueError("every element is a root of the zero polynomial")
+    x = [ctx.zero, ctx.one]
+    g = gcd(f, sub(powmod(x, ctx.q, f, ctx), x, ctx), ctx)
+    rng = random.Random(0)
+    half = (ctx.q - 1) // 2
+    found, todo = [], [g]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            found.append(-g[0])
+            continue
+        if len(g) < 2:
+            continue
+        while True:
+            h = sub(powmod([ctx.random_element(rng), ctx.one], half, g, ctx), [ctx.one], ctx)
+            h = gcd(g, h, ctx)
+            if 1 < len(h) < len(g):
+                break
+        todo += [h, divmod_(g, h, ctx)[0]]
+    return sorted(found, key=lambda e: e.coeffs)
 
 
 def is_irreducible(f, ctx) -> bool:
@@ -90,8 +136,7 @@ def is_irreducible(f, ctx) -> bool:
     n = len(f) - 1
     if n <= 0:
         return False
-    if not f[-1] == ctx.one:
-        f = [c * f[-1].inverse() for c in f]
+    f = monic(f, ctx)
     if n == 1:
         return True
     q = ctx.q

@@ -102,8 +102,10 @@ class TestVerify:
 
 class TestBench:
     def test_schema_and_counters(self, capsys, monkeypatch):
-        # an empty dual cache, as in a fresh process: a dual cached by an
-        # earlier test would skip the dual check's extension samples
+        # an empty dual cache, as in a fresh process.  The dual check draws
+        # nothing; the draws are the sampling comparand's own plus the
+        # torsion basis over F_{13^4} that the dual's extension route
+        # samples, which a dual cached by an earlier test would skip
         monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
         code, out, _ = run_cli(
             capsys, "bench", "--p", "13", "--b", "4", "--steps", "2"
@@ -113,9 +115,23 @@ class TestBench:
         for key in ("radical_ns_per_step", "velu_ns_per_step", "ratio"):
             assert key in payload
         assert payload["radical_torsion_samples"] == 0
-        # the draw count follows the dual check's trajectory exactly
-        assert payload["velu_torsion_samples"] == 11
+        assert payload["velu_torsion_samples"] == 7
         assert payload["identical_chains"] is True
+
+    def test_p_4_mod_5(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--p", "19", "--b", "3", "--steps", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["chain"] == [3, 15]
+        assert payload["identical_chains"] is True
+
+    def test_characteristic_5_refused(self, capsys):
+        # deg phi = p = 5: the dual is inseparable, so no Velu dual exists
+        code, out, err = run_cli(capsys, "bench", "--p", "5", "--b", "1", "--steps", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: characteristic 5 divides deg phi = 5")
+        assert "inseparable" in err
 
     def test_mod5_field_rejected(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--p", "31", "--b", "2", "--steps", "1")

@@ -12,7 +12,9 @@ from radicant.curve import (
     CurveIso,
     add,
     curve_from_params,
+    base_change,
     degree5_curve,
+    division_polynomial,
     enum_bound,
     enumerate_points,
     find_isomorphism,
@@ -30,6 +32,7 @@ from radicant.curve import (
     trace_of_frobenius,
     order_over_extension,
     _iso_from,
+    _points_for_x,
 )
 from radicant.errors import (
     DegenerateParams,
@@ -225,6 +228,68 @@ class TestEnumeration:
         from radicant.curve import base_change
 
         assert order_over_extension(E, 2) == group_order(base_change(E, ext))
+
+
+def random_curves(F, count, rng):
+    """`count` nonsingular curves with all five a-invariants drawn."""
+    out = []
+    while len(out) < count:
+        try:
+            out.append(WeierstrassCurve(*(F.random_element(rng) for _ in range(5))))
+        except DegenerateParams:
+            continue
+    return out
+
+
+def poly_value(f, x):
+    acc = x.ctx.zero
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+class TestDivisionPolynomial:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("p,k", [(11, 1), (13, 1), (11, 2)])
+    def test_roots_are_the_n_torsion_x_coordinates(self, p, k, n):
+        # psi_n(x) = 0 iff the points over x are n-torsion: rational points
+        # are checked over F, the others over F_{p^2} when F = F_p
+        F = make_field(p, k)
+        ext = make_field(p, 2) if k == 1 else None
+        for E in random_curves(F, 3, random.Random(100 * p + 10 * k + n)):
+            psi = division_polynomial(E, n)
+            assert len(psi) - 1 == (n * n - 1) // 2
+            assert psi[-1] == n
+            for x in F.elements():
+                pts = _points_for_x(E, x)
+                if pts:
+                    killed = E.mul(n, pts[0]).is_infinity
+                elif ext is not None:
+                    Ee = base_change(E, ext)
+                    killed = Ee.mul(n, _points_for_x(Ee, ext.embed(x))[0]).is_infinity
+                else:
+                    continue
+                assert poly_value(psi, x).is_zero() == killed
+
+    def test_even_index_rejected(self, F11):
+        with pytest.raises(ValueError):
+            division_polynomial(degree5_curve(F11.el(2)), 4)
+
+    @pytest.mark.parametrize("p,k", [(11, 1), (31, 1), (41, 1), (61, 1), (7, 2)])
+    @pytest.mark.parametrize("N", [3, 5, 7, 9])
+    def test_points_of_order_match_enumeration(self, p, k, N):
+        # same list in the same order as the enumerate-and-filter oracle
+        F = make_field(p, k)
+        rng = random.Random(p * k * N)
+        curves = random_curves(F, 2, rng)
+        for _ in range(4):
+            b = F.random_element(rng)
+            if not b.is_zero() and not normal_form_discriminant(b, b).is_zero():
+                curves.append(degree5_curve(b))
+        for E in curves:
+            oracle = [P for P in enumerate_points(E)
+                      if not P.is_infinity and has_order(E, P, N)]
+            assert points_of_order(E, N) == oracle
 
 
 class TestMarkedSubgroupListing:

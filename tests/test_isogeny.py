@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,10 +7,15 @@ import pytest
 from radicant.curve import (
     O,
     Point,
+    _points_for_x,
+    base_change,
     degree5_curve,
+    descend_curve,
     enumerate_points,
     isomorphisms,
+    lift_point,
     normal_form_discriminant,
+    order_over_extension,
     point_order,
     points_of_order,
     rational_point_of_order,
@@ -16,6 +23,7 @@ from radicant.curve import (
 from radicant.field import make_field
 from radicant.isogeny import (
     DualIsogeny,
+    _lift_iso,
     _verify_dual,
     composition_kernel,
     dual_isogeny,
@@ -161,6 +169,94 @@ class TestDual:
             if dual(P) == O
         ]
         assert len(killed) == 5
+
+
+class BruteForce:
+    """Decides cand o phi == [N] by evaluating both on points of E over W.
+
+    delta = cand o phi - [N] is zero or an isogeny of degree at most
+    (N + N)^2 = 4 N^2, so ker(delta) is a group of at most 4 N^2 points.
+    Agreement on X puts <X> inside it, so agreement on more than 4 N^2
+    points, or on points whose orders have lcm above 4 N^2, proves
+    delta = 0.  Points are taken in x order over W; their images, [N]X and
+    the running lcm are shared by every candidate for the same phi and W.
+    """
+
+    def __init__(self, phi, W):
+        self.N = phi.degree
+        self.bound = 4 * self.N * self.N
+        self.E = base_change(phi.domain, W)
+        self.phi = velu(self.E, lift_point(phi.kernel_generator, W))
+        self.order = order_over_extension(phi.domain, W.k)
+        self.points = (X for x in W.elements() for X in _points_for_x(self.E, x))
+        self.rows = []
+        self.W = W
+
+    def row(self, i):
+        if i == len(self.rows):
+            X = next(self.points)
+            lcm = self.rows[-1][2] if self.rows else 1
+            if not self.E.mul(lcm, X).is_infinity:
+                lcm = math.lcm(lcm, point_order(self.E, X, self.order))
+            self.rows.append((evaluate(self.phi, X), self.E.mul(self.N, X), lcm))
+        return self.rows[i]
+
+    def is_dual(self, cand):
+        psi, W = cand.quotient, self.W
+        if psi.domain.ctx != W:
+            psi = velu(base_change(psi.domain, W), lift_point(psi.kernel_generator, W))
+        iso = _lift_iso(cand.back_iso, W)
+        for i in itertools.count():
+            image, target, lcm = self.row(i)
+            if iso.apply(evaluate(psi, image)) != target:
+                return False
+            if lcm > self.bound or i >= self.bound:
+                return True
+
+
+class TestVerifyDualAgainstBruteForce:
+    @pytest.mark.parametrize("p", [11, 13, 19, 31])
+    def test_every_candidate(self, p):
+        # candidates: every rational order-5 subgroup of the codomain, plus
+        # the extension route's quotient when the dual needs one, each with
+        # every isomorphism onto E (all scales u, not only u = 5)
+        F = make_field(p)
+        for v in range(1, p):
+            b = F.el(v)
+            if normal_form_discriminant(b, b).is_zero():
+                continue
+            E = degree5_curve(b)
+            phi = velu(E, marked(F))
+            E2 = phi.codomain
+            subgroups = {}
+            for K in points_of_order(E2, 5):
+                subgroups.setdefault(frozenset(Q.x.coeffs for Q in E2.subgroup(K)[1:]), K)
+            quotients = [(velu(E2, K), F) for K in subgroups.values()]
+            dual = dual_isogeny(phi)
+            if dual.ext_ctx != F:
+                quotients.append((dual.quotient, dual.ext_ctx))
+            # rational candidates are compared over the least F_{q^d} with
+            # #E(F_{q^d}) > 4 N^2, extension ones over their own field
+            d = next(d for d in itertools.count(1) if order_over_extension(E, d) > 100)
+            brute = {}
+            accepted = 0
+            for psi, W in quotients:
+                codomain = psi.codomain if W == F else descend_curve(psi.codomain, F)
+                W_cmp = make_field(p, d) if W == F else W
+                if W_cmp not in brute:
+                    brute[W_cmp] = BruteForce(phi, W_cmp)
+                for iso in isomorphisms(codomain, E):
+                    cand = DualIsogeny(phi, psi, iso, W)
+                    verdict = _verify_dual(cand)
+                    assert verdict == brute[W_cmp].is_dual(cand), (v, iso.u)
+                    accepted += verdict
+            assert accepted == 1
+
+    def test_characteristic_dividing_the_degree_is_refused(self):
+        F = make_field(5)
+        phi = velu(degree5_curve(F.el(1)), marked(F))
+        with pytest.raises(ValueError, match="inseparable"):
+            dual_isogeny(phi)
 
 
 class TestDistinguished:

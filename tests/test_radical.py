@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -293,6 +294,34 @@ class TestReferenceOracle:
         rad = radical_chain(F.el(b0), 3, policy="unique")
         vel = velu_chain(F.el(b0), 3)
         assert rad.b_values == vel.b_values
+
+    @pytest.mark.parametrize("p", [19, 29])
+    def test_velu_chain_agrees_at_p_4_mod_5(self, p):
+        # q = 4 mod 5: E[5] is rational only over F_{q^2}, where the old
+        # dual check could not reach its proof bound
+        F = make_field(p)
+        checked = 0
+        for v in range(1, p):
+            b = F.el(v)
+            if normal_form_discriminant(b, b).is_zero():
+                continue
+            assert velu_chain(b, 1).b_values == radical_chain(b, 1, "unique").b_values
+            checked += 1
+        assert checked > 10
+
+    def test_reference_step_needs_no_enumeration(self, monkeypatch):
+        # p = 1000151: the oracle reads the 5-torsion off psi_5 and checks the
+        # dual by polynomial identities, so no curve is enumerated or sampled
+        monkeypatch.setenv("RADICANT_ENUM_BOUND", "1000")
+        F = make_field(1000151)
+        b = F.el(123457) ** 5
+        curve.reset_sample_count()
+        t0 = time.perf_counter()
+        ref = velu_reference_step(b)
+        assert time.perf_counter() - t0 < 5.0
+        assert curve.sample_count() == 0
+        successors = {radical_step_5(b, f"index:{i}").b_next for i in range(5)}
+        assert ref == sorted(successors, key=lambda e: e.coeffs)
 
     def test_velu_chain_rejects_mod5_fields(self, F31):
         with pytest.raises(ValueError):
