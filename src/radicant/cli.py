@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -86,7 +85,6 @@ def cmd_bench(args) -> int:
     b0 = ctx.el(args.b)
 
     curve_mod.reset_sample_count()
-    radical_times = []
     t0 = time.perf_counter()
     rad = radical_chain(b0, args.steps, policy="unique")
     radical_ns = (time.perf_counter() - t0) * 1e9 / max(1, args.steps)
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="radical vs sampling chain timing")
     add_field_args(sp)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("groups", help="finite congruence-subgroup data")

@@ -345,8 +345,6 @@ def random_point(E: WeierstrassCurve, rng) -> Point:
     Every draw is counted; the radical chain must never trigger this.
     """
     global _sample_count
-    from .field import nth_roots
-
     while True:
         _sample_count += 1
         x = E.ctx.random_element(rng)

@@ -9,6 +9,7 @@ lexicographic order on coefficient tuples.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from typing import Iterator, Sequence
 
@@ -27,9 +28,13 @@ class FieldCtx:
     The defining polynomial is monic of degree k, stored as an ascending
     coefficient tuple of length k+1.  For k = 1 the convention is x - 0,
     i.e. (0, 1).
+
+    For k > 1, `frobenius` is the matrix of a -> a^p on coefficient
+    vectors, stored by columns: column j holds coefficient j of x^(i*p)
+    mod the modulus, for i = 0..k-1.  It is None for k = 1.
     """
 
-    __slots__ = ("p", "k", "modulus", "q", "_key")
+    __slots__ = ("p", "k", "modulus", "q", "_key", "frobenius")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -37,6 +42,13 @@ class FieldCtx:
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self.q = p**k
         self._key = (p, self.modulus)
+        self.frobenius = None
+        if k > 1:
+            xp = FieldElement(self, (0, 1) + (0,) * (k - 2)) ** p
+            powers = [self.one]  # x^(i*p) for i = 0..k-1
+            for _ in range(k - 1):
+                powers.append(powers[-1] * xp)
+            self.frobenius = tuple(zip(*(x.coeffs for x in powers)))
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self._key == other._key
@@ -198,21 +210,29 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        p, k = self.ctx.p, self.ctx.k
+        ctx = self.ctx
+        p, k = ctx.p, ctx.k
         if k == 1:
-            return FieldElement(self.ctx, (pow(self.coeffs[0], -1, p),))
-        # extended Euclid in F_p[x] against the defining polynomial
-        r0, r1 = list(self.ctx.modulus), list(self.coeffs)
-        s0, s1 = [0], [1]
-        while any(c % p for c in r1):
-            q, r = _poly_divmod_int(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_int(s0, _poly_mul_int(q, s1, p), p)
-        # r0 is now the gcd, a nonzero constant
-        c_inv = pow(_poly_trim_int(r0, p)[0], -1, p)
-        inv = [(c * c_inv) % p for c in s0]
-        inv = inv[:k] + [0] * max(0, k - len(inv))
-        return FieldElement(self.ctx, tuple(inv[:k]))
+            return FieldElement(ctx, (pow(self.coeffs[0], -1, p),))
+        # Itoh-Tsujii: with r = (q - 1)/(p - 1), a^(r-1) is the product of
+        # the conjugates a^(p^i), i = 1..k-1, and the norm N(a) = a^r lies
+        # in F_p, so a^-1 = a^(r-1) / N(a) needs one inversion in F_p
+        conj = rest = self._frobenius()
+        for _ in range(k - 2):
+            conj = conj._frobenius()
+            rest = rest * conj
+        norm = self * rest
+        if any(norm.coeffs[1:]):
+            raise InvariantError(f"norm of {self!r} is not in the prime field")
+        n_inv = pow(norm.coeffs[0], -1, p)
+        return FieldElement(ctx, tuple(c * n_inv % p for c in rest.coeffs))
+
+    def _frobenius(self) -> "FieldElement":
+        """a^p, as the Frobenius matrix applied to the coefficient vector."""
+        p = self.ctx.p
+        return FieldElement(self.ctx, tuple(
+            sum(map(operator.mul, self.coeffs, col)) % p for col in self.ctx.frobenius
+        ))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -256,56 +276,6 @@ class FieldElement:
         if self.ctx.k == 1:
             return f"{self.coeffs[0]}"
         return f"{list(self.coeffs)}"
-
-
-# ---------------------------------------------------------------------------
-# int-coefficient polynomial helpers (used for inversion)
-# ---------------------------------------------------------------------------
-
-def _poly_trim_int(a, p):
-    a = [c % p for c in a]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_sub_int(a, b, p):
-    n = max(len(a), len(b))
-    return [
-        ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-        for i in range(n)
-    ]
-
-
-def _poly_mul_int(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_divmod_int(a, b, p):
-    a = _poly_trim_int(a, p)
-    b = _poly_trim_int(b, p)
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    inv_lead = pow(b[-1], -1, p)
-    while len(r) >= len(b) and any(c for c in r):
-        r = _poly_trim_int(r, p)
-        if len(r) < len(b):
-            break
-        coef = (r[-1] * inv_lead) % p
-        deg = len(r) - len(b)
-        q[deg] = coef
-        for i, c in enumerate(b):
-            r[deg + i] = (r[deg + i] - coef * c) % p
-        r = _poly_trim_int(r, p)
-    return _poly_trim_int(q, p), _poly_trim_int(r, p)
 
 
 def _smallest_irreducible(p: int, k: int):

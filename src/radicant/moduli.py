@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .curve import (
-    CurveIso,
     Point,
     WeierstrassCurve,
-    curve_from_params,
     degree5_curve,
     find_isomorphism,
     has_order,
@@ -27,7 +25,7 @@ from .curve import (
 )
 from .errors import DegenerateParams, InvariantError
 from .field import FieldElement
-from .isogeny import Isogeny, evaluate, velu
+from .isogeny import evaluate, velu
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Dense univariate polynomials with FieldElement coefficients.
 
-Hosts the one Rabin irreducibility test, used over any F_{p^k}; make_field
-bootstraps through it over the prime field F_p.  `roots` finds the roots in
-the field by Cantor-Zassenhaus splitting.  Polynomials are lists, constant
-term first.
+This is the package's one polynomial implementation: field.py inverts
+through the Frobenius norm and has no polynomial code of its own.  Hosts the
+one Rabin irreducibility test, used over any F_{p^k}; make_field bootstraps
+through it over the prime field F_p.  `roots` finds the roots in the field by
+Cantor-Zassenhaus splitting.  Polynomials are lists, constant term first.
 """
 
 from __future__ import annotations

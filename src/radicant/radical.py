@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .curve import (
     Point,
-    WeierstrassCurve,
+    base_change,
     degree5_curve,
     normal_form_discriminant,
     to_tate_normal,
@@ -58,6 +58,11 @@ def _check_params(b: FieldElement):
         raise DegenerateParams("b = 0 gives a singular curve")
     if normal_form_discriminant(b, b).is_zero():
         raise DegenerateParams("discriminant vanishes for this b")
+
+
+def _check_steps(steps: int):
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
 
 
 def _pick_root(roots: list, policy: str) -> tuple:
@@ -136,6 +141,7 @@ def radical_chain(b0: FieldElement, steps: int, policy: str = "canonical") -> Ch
     Only b0 is validated here: `step_from_root` rejects a degenerate
     successor, so every later input is already known to be valid.
     """
+    _check_steps(steps)
     _check_params(b0)
     values = [b0]
     b = b0
@@ -163,15 +169,9 @@ def velu_reference_step(b: FieldElement) -> list:
     out = []
     for P2 in distinguished_points(phi):
         tp, _ = to_tate_normal(phi.codomain if P2.x.ctx == b.ctx
-                               else _lift_curve(phi.codomain, P2.x.ctx), P2, 5)
+                               else base_change(phi.codomain, P2.x.ctx), P2, 5)
         out.append(tp.b)
     return sorted(set(out), key=lambda e: e.coeffs)
-
-
-def _lift_curve(E: WeierstrassCurve, ext) -> WeierstrassCurve:
-    from .curve import base_change
-
-    return base_change(E, ext)
 
 
 def radical_poly_irreducible(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:
@@ -209,6 +209,7 @@ def velu_chain(b0: FieldElement, steps: int) -> ChainResult:
     policy 'unique' (fields with gcd(5, q-1) = 1), at the cost of sampling
     torsion points on every step.
     """
+    _check_steps(steps)
     _check_params(b0)
     if (b0.ctx.q - 1) % 5 == 0:
         raise ValueError("sampling chain comparand requires gcd(5, q-1) = 1")

@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
-
-from sympy import isprime
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import modgroup
 from .curve import (
@@ -27,14 +25,12 @@ from .curve import (
     normal_form_discriminant,
     points_of_order,
     rational_point_of_order,
-    to_tate_normal,
     torsion_basis,
 )
 from .errors import RadicantError
 from .field import FieldCtx, make_field, nth_roots
 from .isogeny import (
     composition_kernel,
-    distinguished_points,
     is_distinguished,
     kernel_is_cyclic,
     velu,
@@ -42,7 +38,6 @@ from .isogeny import (
 from .miscutil import primes_in_range
 from .moduli import (
     MarkedPoint,
-    SemidirectElem,
     axis_subgroup_normality,
     conjugate_closed_form,
     g_action,
@@ -63,7 +58,6 @@ from .radical import (
     radical_chain,
     radical_poly_irreducible,
     radical_poly_irreducible_oracle,
-    radical_step_5,
     step_from_root,
     distinguished_point_5,
     velu_reference_step,

@@ -20,8 +20,3 @@ def F13():
 @pytest.fixture(scope="session")
 def F31():
     return make_field(31)
-
-
-@pytest.fixture(scope="session")
-def F25():
-    return make_field(5, 2)

@@ -133,6 +133,15 @@ class TestBench:
         assert err.startswith("error: characteristic 5 divides deg phi = 5")
         assert "inseparable" in err
 
+    def test_negative_steps_rejected(self, capsys):
+        for command in ("chain", "bench"):
+            code, out, err = run_cli(
+                capsys, command, "--p", "13", "--b", "4", "--steps", "-2"
+            )
+            assert code == 1
+            assert out == ""
+            assert err == "error: steps must be >= 0, got -2\n"
+
     def test_mod5_field_rejected(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--p", "31", "--b", "2", "--steps", "1")
         assert code == 2

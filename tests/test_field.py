@@ -138,13 +138,26 @@ class TestArith:
             return
         assert (a * b) / b == a
 
-    def test_extension_inverse(self, F25):
-        rng = random.Random(9)
-        for _ in range(50):
-            a = F25.random_element(rng)
-            if a.is_zero():
-                continue
-            assert a * a.inverse() == F25.one
+    @pytest.mark.parametrize("p,k", [(5, 2), (7, 3), (5, 4), (11, 2)])
+    def test_extension_inverse(self, p, k):
+        F = make_field(p, k)
+        for a in F.nonzero_elements():
+            assert a * a.inverse() == F.one
+
+    @pytest.mark.parametrize("p,k", [(1013, 2), (10007, 2), (13, 4)])
+    def test_extension_inverse_matches_power(self, p, k):
+        # a^(q-2) runs square-and-multiply only, never inverse
+        F = make_field(p, k)
+        rng = random.Random(p * k)
+        for _ in range(20):
+            a = F.random_element(rng)
+            if not a.is_zero():
+                assert a.inverse() == a ** (F.q - 2)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_extension_inverse_of_zero(self, k):
+        with pytest.raises(ZeroDivisionError):
+            make_field(13, k).zero.inverse()
 
 
 class TestNthRoots:

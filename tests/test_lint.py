@@ -41,3 +41,30 @@ def test_no_orphan_private_helpers():
                 if uses < 2:
                     orphans.append(f"{path.name}:{node.lineno} {name}")
     assert not orphans, f"private helpers referenced nowhere: {orphans}"
+
+
+def test_no_unused_imports():
+    # an import counts as used when its name is read in the scope that
+    # imports it: the module, or the function that holds a local import.
+    # Annotations count, as modules use `from __future__ import annotations`
+    # rather than quoted names.  __init__.py imports are re-exports.
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        owner = {}
+        for scope in scopes:  # outer scopes first, so inner functions win
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    owner[node] = scope
+        for node, scope in owner.items():
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"imports never used: {unused}"

@@ -147,6 +147,11 @@ class TestChain:
         chain = radical_chain(F13.el(4), 0, policy="unique")
         assert [b.to_int() for b in chain.b_values] == [4]
 
+    @pytest.mark.parametrize("driver", [radical_chain, velu_chain])
+    def test_negative_steps_rejected(self, F13, driver):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            driver(F13.el(4), -1)
+
     def test_one_step_consistency(self, F13):
         chain = radical_chain(F13.el(4), 1, policy="unique")
         step = radical_step_5(F13.el(4), policy="unique")
