@@ -78,6 +78,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     ctx = _field_arg(args)
+    if ctx.k != 1:
+        raise ValueError(
+            "bench needs a prime base field: the sampling comparand's dual "
+            f"isogeny cannot be built over {ctx}"
+        )
     if (ctx.q - 1) % 5 == 0:
         raise DegenerateParams(
             "bench requires gcd(5, q-1) = 1 so both paths give a unique chain"

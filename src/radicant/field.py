@@ -34,7 +34,7 @@ class FieldCtx:
     mod the modulus, for i = 0..k-1.  It is None for k = 1.
     """
 
-    __slots__ = ("p", "k", "modulus", "q", "_key", "frobenius")
+    __slots__ = ("p", "k", "modulus", "q", "_key", "frobenius", "zero", "one")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -42,6 +42,9 @@ class FieldCtx:
         self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self.q = p**k
         self._key = (p, self.modulus)
+        # elements are immutable, so one zero and one one serve every caller
+        self.zero = FieldElement(self, (0,) * k)
+        self.one = FieldElement(self, (1,) + (0,) * (k - 1))
         self.frobenius = None
         if k > 1:
             xp = FieldElement(self, (0, 1) + (0,) * (k - 2)) ** p
@@ -77,14 +80,6 @@ class FieldCtx:
             raise ValueError(f"coefficient vector longer than degree {self.k}")
         coeffs += [0] * (self.k - len(coeffs))
         return FieldElement(self, tuple(c % self.p for c in coeffs))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.el(0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.el(1)
 
     def elements(self) -> Iterator["FieldElement"]:
         """All field elements in canonical (coefficient-lex) order."""
@@ -146,7 +141,7 @@ class FieldElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def to_int(self) -> int:
         """Value as an int; only valid over a prime field."""
@@ -155,68 +150,95 @@ class FieldElement:
         return self.coeffs[0]
 
     # -- arithmetic ------------------------------------------------------
+    #
+    # Each binary operator first takes an operand of this very context, and
+    # over F_p an int, without building an intermediate element; the context
+    # identity test comes first, so F_{p^k} operands skip `_check` as well.
+    # Anything else goes through `_check`, which admits equal contexts from
+    # separate builds and raises ContextMismatch for the rest.
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.ctx.p
+        ctx = self.ctx
+        if isinstance(other, FieldElement) and other.ctx is ctx:
+            if ctx.k == 1:
+                return FieldElement(ctx, ((self.coeffs[0] + other.coeffs[0]) % ctx.p,))
+        elif ctx.k == 1 and isinstance(other, int):
+            return FieldElement(ctx, ((self.coeffs[0] + other) % ctx.p,))
+        else:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p = ctx.p
         return FieldElement(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+            ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.ctx.p
+        ctx = self.ctx
+        if isinstance(other, FieldElement) and other.ctx is ctx:
+            if ctx.k == 1:
+                return FieldElement(ctx, ((self.coeffs[0] - other.coeffs[0]) % ctx.p,))
+        elif ctx.k == 1 and isinstance(other, int):
+            return FieldElement(ctx, ((self.coeffs[0] - other) % ctx.p,))
+        else:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p = ctx.p
         return FieldElement(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
+            ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __rsub__(self, other):
-        return self.ctx.el(other) - self
+        ctx = self.ctx
+        if ctx.k == 1 and isinstance(other, int):
+            return FieldElement(ctx, ((other - self.coeffs[0]) % ctx.p,))
+        return ctx.el(other) - self
 
     def __neg__(self):
         p = self.ctx.p
         return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p, k = self.ctx.p, self.ctx.k
-        if k == 1:
-            return FieldElement(self.ctx, ((self.coeffs[0] * other.coeffs[0]) % p,))
+        ctx = self.ctx
+        if isinstance(other, FieldElement) and other.ctx is ctx:
+            if ctx.k == 1:
+                return FieldElement(ctx, (self.coeffs[0] * other.coeffs[0] % ctx.p,))
+        elif ctx.k == 1 and isinstance(other, int):
+            return FieldElement(ctx, (self.coeffs[0] * other % ctx.p,))
+        else:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        p, k = ctx.p, ctx.k
         prod = [0] * (2 * k - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 prod[i + j] += a * b
-        mod = self.ctx.modulus
+        mod = ctx.modulus
         for d in range(2 * k - 2, k - 1, -1):
             c = prod[d] % p
             if c:
                 for j in range(k):
                     prod[d - k + j] -= c * mod[j]
             prod[d] = 0
-        return FieldElement(self.ctx, tuple(c % p for c in prod[:k]))
+        return FieldElement(ctx, tuple(c % p for c in prod[:k]))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
         ctx = self.ctx
         p, k = ctx.p, ctx.k
         if k == 1:
-            return FieldElement(ctx, (pow(self.coeffs[0], -1, p),))
+            return FieldElement(ctx, (_inverse_mod(self.coeffs[0], p),))
         # Itoh-Tsujii: with r = (q - 1)/(p - 1), a^(r-1) is the product of
         # the conjugates a^(p^i), i = 1..k-1, and the norm N(a) = a^r lies
-        # in F_p, so a^-1 = a^(r-1) / N(a) needs one inversion in F_p
+        # in F_p, so a^-1 = a^(r-1) / N(a) needs one inversion in F_p; only
+        # a = 0 has norm 0
         conj = rest = self._frobenius()
         for _ in range(k - 2):
             conj = conj._frobenius()
@@ -224,7 +246,7 @@ class FieldElement:
         norm = self * rest
         if any(norm.coeffs[1:]):
             raise InvariantError(f"norm of {self!r} is not in the prime field")
-        n_inv = pow(norm.coeffs[0], -1, p)
+        n_inv = _inverse_mod(norm.coeffs[0], p)
         return FieldElement(ctx, tuple(c * n_inv % p for c in rest.coeffs))
 
     def _frobenius(self) -> "FieldElement":
@@ -235,13 +257,25 @@ class FieldElement:
         ))
 
     def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
+        ctx = self.ctx
+        if isinstance(other, FieldElement) and other.ctx is ctx:
+            if ctx.k == 1:
+                inv = _inverse_mod(other.coeffs[0], ctx.p)
+                return FieldElement(ctx, (self.coeffs[0] * inv % ctx.p,))
+        elif ctx.k == 1 and isinstance(other, int):
+            inv = _inverse_mod(other, ctx.p)
+            return FieldElement(ctx, (self.coeffs[0] * inv % ctx.p,))
+        else:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.ctx.el(other) / self
+        ctx = self.ctx
+        if ctx.k == 1 and isinstance(other, int):
+            return FieldElement(ctx, (other * _inverse_mod(self.coeffs[0], ctx.p) % ctx.p,))
+        return ctx.el(other) / self
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -261,13 +295,14 @@ class FieldElement:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
+        ctx = self.ctx
+        if isinstance(other, FieldElement):
+            return self.coeffs == other.coeffs and (other.ctx is ctx or other.ctx == ctx)
         if isinstance(other, int):
-            other = self.ctx.el(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.ctx is other.ctx or self.ctx == other.ctx
-        )
+            if ctx.k == 1:
+                return self.coeffs[0] == other % ctx.p
+            return self.coeffs == ctx.el(other).coeffs
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.ctx._key, self.coeffs))
@@ -276,6 +311,14 @@ class FieldElement:
         if self.ctx.k == 1:
             return f"{self.coeffs[0]}"
         return f"{list(self.coeffs)}"
+
+
+def _inverse_mod(c: int, p: int) -> int:
+    """c^-1 mod p; ZeroDivisionError when p divides c."""
+    try:
+        return pow(c, -1, p)
+    except ValueError:
+        raise ZeroDivisionError("inverse of zero field element") from None
 
 
 def _smallest_irreducible(p: int, k: int):

@@ -146,6 +146,9 @@ class DualIsogeny:
     quotient: Isogeny  # codomain/<image of E[N]>, over the working field
     back_iso: CurveIso  # isomorphism from the quotient codomain onto E
     ext_ctx: object  # FieldCtx of the working field (may equal the base)
+    # the rational order-N points of forward.codomain, as dual_isogeny found
+    # them; distinguished_points reads them instead of solving psi_N again
+    codomain_torsion: tuple = ()
 
     def __call__(self, P: Point) -> Point:
         E = self.forward.domain
@@ -196,7 +199,7 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
     return kernel_poly == poly.monic(division_polynomial(E, phi.degree), base)
 
 
-def _candidate(phi: Isogeny, psi: Isogeny, ext_ctx):
+def _candidate(phi: Isogeny, psi: Isogeny, ext_ctx, torsion: tuple):
     """iso o psi with iso of scale u = N onto the domain, or None.
 
     Only that scale can close psi o phi to [N] (see `_verify_dual`), and it
@@ -211,7 +214,7 @@ def _candidate(phi: Isogeny, psi: Isogeny, ext_ctx):
         except ValueError:
             return None
     iso = isomorphism_with_scale(quotient_codomain, E, base.el(phi.degree))
-    return None if iso is None else DualIsogeny(phi, psi, iso, ext_ctx)
+    return None if iso is None else DualIsogeny(phi, psi, iso, ext_ctx, torsion)
 
 
 def dual_isogeny(phi: Isogeny) -> DualIsogeny:
@@ -229,15 +232,16 @@ def dual_isogeny(phi: Isogeny) -> DualIsogeny:
         )
     # rational route: the dual kernel is often pointwise rational (it always
     # is when q = 1 mod N and the forward kernel is rational)
+    torsion = tuple(points_of_order(E2, N))
     seen_subgroups = set()
-    for K in points_of_order(E2, N):
+    for K in torsion:
         sub = frozenset(
             (Q.x.coeffs, Q.y.coeffs) for Q in E2.subgroup(K) if not Q.is_infinity
         )
         if sub in seen_subgroups:
             continue
         seen_subgroups.add(sub)
-        cand = _candidate(phi, velu(E2, K), E2.ctx)
+        cand = _candidate(phi, velu(E2, K), E2.ctx, torsion)
         if cand is not None and _verify_dual(cand):
             return cand
     # extension route: push a full torsion basis through phi
@@ -250,7 +254,7 @@ def dual_isogeny(phi: Isogeny) -> DualIsogeny:
         K = evaluate(phi_ext, Q)
         if K.is_infinity:
             continue
-        cand = _candidate(phi, velu(base_change(E2, ext), K), ext)
+        cand = _candidate(phi, velu(base_change(E2, ext), K), ext, torsion)
         if cand is not None and _verify_dual(cand):
             return cand
     raise RadicantError("failed to construct the dual isogeny")
@@ -289,9 +293,9 @@ def distinguished_points(phi: Isogeny) -> list:
     """
     N = phi.degree
     E2 = phi.codomain
-    # points_of_order already checked order N; the dual is built on first use
-    out = [P2 for P2 in points_of_order(E2, N)
-           if cached_dual(phi)(P2) == phi.kernel_generator]
+    dual = cached_dual(phi)
+    # the dual carries the rational order-N points of E2 it was built from
+    out = [P2 for P2 in dual.codomain_torsion if dual(P2) == phi.kernel_generator]
     if out:
         return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
     # no rational hits: realize the N-torsion of the codomain over an
@@ -299,6 +303,7 @@ def distinguished_points(phi: Isogeny) -> list:
     d, ext, (Q1, Q2) = full_torsion_degree(E2, N)
     E2e = base_change(E2, ext)
     target = lift_point(phi.kernel_generator, ext)
+    quotient, back_iso = _dual_over(dual, ext)
     found = []
     for i in range(N):
         for j in range(N):
@@ -307,7 +312,7 @@ def distinguished_points(phi: Isogeny) -> list:
             P2 = E2e.add(E2e.mul(i, Q1), E2e.mul(j, Q2))
             if not has_order(E2e, P2, N):
                 continue
-            if _dual_eval_ext(phi, P2, ext) == target:
+            if back_iso.apply(evaluate(quotient, P2)) == target:
                 found.append(P2)
     return sorted(found, key=lambda P: (P.x.coeffs, P.y.coeffs))
 
@@ -323,10 +328,9 @@ def _lift_iso(iso: CurveIso, ext) -> CurveIso:
     )
 
 
-def _dual_eval_ext(phi: Isogeny, P2: Point, ext) -> Point:
-    """Evaluate the cached dual on an extension point."""
-    dual = cached_dual(phi)
-    base = phi.domain.ctx
+def _dual_over(dual: DualIsogeny, ext) -> tuple:
+    """(quotient, back_iso) of the dual, both over the extension ext."""
+    base = dual.forward.domain.ctx
     if dual.ext_ctx == base:
         quotient = velu(
             base_change(dual.quotient.domain, ext),
@@ -336,7 +340,7 @@ def _dual_eval_ext(phi: Isogeny, P2: Point, ext) -> Point:
         quotient = dual.quotient
     else:
         raise TorsionUnavailable("dual working field mismatch")
-    return _lift_iso(dual.back_iso, ext).apply(evaluate(quotient, P2))
+    return quotient, _lift_iso(dual.back_iso, ext)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from radicant import isogeny
+from radicant import cli, isogeny
 from radicant.cli import main
 
 
@@ -142,9 +142,62 @@ class TestBench:
             assert out == ""
             assert err == "error: steps must be >= 0, got -2\n"
 
+    def test_extension_field_refused_before_the_chain(self, capsys, monkeypatch):
+        # the sampling comparand's dual needs a prime base field
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the radical chain ran before the refusal")
+
+        monkeypatch.setattr(cli, "radical_chain", no_chain)
+        code, out, err = run_cli(
+            capsys, "bench", "--p", "13", "--k", "2", "--b", "4", "--steps", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bench needs a prime base field")
+
     def test_mod5_field_rejected(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--p", "31", "--b", "2", "--steps", "1")
         assert code == 2
+
+
+class TestGoldenOutput:
+    # CLI JSON must stay byte-identical across kernel changes: these are
+    # the exact stdout bytes, which any faster field or step must reproduce
+    @pytest.mark.parametrize("argv, expected", [
+        (("chain", "--p", "1048583", "--b", "4", "--steps", "20", "--policy", "unique"),
+         '{"chain":[4,809935,939121,317564,981123,515908,954418,143787,117473,'
+         '174916,605093,903820,196675,774767,130057,678667,408966,1030064,816520,'
+         '380408,993971],"k":1,"p":1048583,"policy":"unique"}\n'),
+        (("chain", "--p", "2147483659", "--b", "4", "--steps", "20", "--policy", "unique"),
+         '{"chain":[4,2028081937,1890072865,338594786,971114925,529604530,108136781,'
+         '388936821,1537745836,1992421817,41869231,1452857206,1333979927,109506679,'
+         '269449183,338620996,1391654100,369535460,821789424,831976262,1215001443],'
+         '"k":1,"p":2147483659,"policy":"unique"}\n'),
+        (("chain", "--p", "2305843009213693907", "--b", "4", "--steps", "20",
+          "--policy", "unique"),
+         '{"chain":[4,2138752990724870634,2225612409884837815,1145327245576869446,'
+         '413552482153445762,1851364380044563644,1556409497987373635,'
+         '1116097659156054698,2169268130463508302,1431290785389138390,'
+         '310272008576200735,1373931627573010809,957623329571888754,'
+         '1022391977558725080,448382514926994570,2045825416750778432,'
+         '216245225803012827,2131741974129481518,1808465429542139254,'
+         '109408955440289494,575964577568777007],'
+         '"k":1,"p":2305843009213693907,"policy":"unique"}\n'),
+        (("chain", "--p", "1013", "--k", "2", "--b", "5", "--steps", "20",
+          "--policy", "unique"),
+         '{"chain":[[5,0],[174,0],[494,0],[20,0],[425,0],[753,0],[187,0],[130,0],'
+         '[677,0],[997,0],[482,0],[736,0],[372,0],[408,0],[628,0],[873,0],[436,0],'
+         '[676,0],[227,0],[204,0],[181,0]],"k":2,"p":1013,"policy":"unique"}\n'),
+        (("pairing", "--p", "1000003", "--b", "4"),
+         '{"b":4,"equals_b":true,"k":1,"miller_at_minus_p":4,"p":1000003}\n'),
+        (("tnf", "--p", "1000003", "--b", "4"),
+         '{"b":4,"curve":[1000000,999999,999999,0,0],"discriminant_nonzero":true,'
+         '"k":1,"marked_subgroup":[null,[0,0],[4,16],[4,0],[0,4]],'
+         '"normal_form_roundtrip":true,"p":1000003}\n'),
+    ], ids=["chain-p20", "chain-p31", "chain-p61", "chain-f1013^2", "pairing", "tnf"])
+    def test_stdout_bytes(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestOtherCommands:

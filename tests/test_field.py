@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 
@@ -158,6 +159,71 @@ class TestArith:
     def test_extension_inverse_of_zero(self, k):
         with pytest.raises(ZeroDivisionError):
             make_field(13, k).zero.inverse()
+
+
+def check_against_ints(F, a, b):
+    """Every binary operator on a, b over F_p against int arithmetic mod p.
+
+    a and b may be any ints; each pair is tried element-element,
+    element-int and int-element, so the reflected forms run too.
+    """
+    p = F.p
+    x, y = F.el(a), F.el(b)
+    for lhs, rhs in ((x, y), (x, b), (a, y)):
+        for result, expected in ((lhs + rhs, a + b), (lhs - rhs, a - b), (lhs * rhs, a * b)):
+            assert result.ctx is F and result.coeffs == (expected % p,)
+        if b % p:
+            quotient = lhs / rhs
+            assert quotient.ctx is F and quotient.coeffs == (a * pow(b, -1, p) % p,)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                lhs / rhs
+        assert (lhs == rhs) is (a % p == b % p)
+        assert (lhs != rhs) is (a % p != b % p)
+
+
+class TestOperatorsAgainstInts:
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_every_pair(self, p):
+        # negative ints and ints >= p as well as the residues
+        F = make_field(p)
+        values = range(-p - 2, 2 * p + 2)
+        for a in values:
+            for b in values:
+                check_against_ints(F, a, b)
+
+    @pytest.mark.parametrize("p", [1048583, 2147483659, 2305843009213693907])
+    def test_random_pairs_at_walk_primes(self, p):
+        F = make_field(p)
+        rng = random.Random(p)
+        for _ in range(200):
+            check_against_ints(F, rng.randrange(-p, 2 * p), rng.randrange(-p, 2 * p))
+
+    @pytest.mark.parametrize("other", [(13, 1), (11, 2)], ids=["F13", "F11^2"])
+    def test_foreign_context_rejected_by_every_operator(self, F11, other):
+        x, y = F11.el(3), make_field(*other).el(3)
+        for lhs, rhs in ((x, y), (y, x)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(ContextMismatch):
+                    op(lhs, rhs)
+            assert lhs != rhs
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_separate_builds_mix_under_every_operator(self, k):
+        A, B = make_field(11, k), make_field(11, k)
+        assert A is not B
+        rng = random.Random(k)
+        for _ in range(50):
+            a, b = A.random_element(rng), A.random_element(rng)
+            b2 = B.el(b.coeffs)
+            assert a + b2 == a + b and b2 + a == b + a
+            assert a - b2 == a - b and b2 - a == b - a
+            assert a * b2 == a * b and b2 * a == b * a
+            if not b.is_zero():
+                assert a / b2 == a / b
+            if not a.is_zero():
+                assert b2 / a == b / a
+            assert (a == b2) is (a == b)
 
 
 class TestNthRoots:

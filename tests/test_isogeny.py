@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from radicant import isogeny, poly
 from radicant.curve import (
     O,
     Point,
@@ -33,6 +34,7 @@ from radicant.isogeny import (
     kernel_is_cyclic,
     velu,
 )
+from radicant.radical import velu_reference_step
 
 
 def marked(ctx):
@@ -304,6 +306,23 @@ class TestDistinguished:
         phi = velu(E, marked(F))
         ds = distinguished_points(phi)
         assert ds == [Point(F.zero, F.el(3))]
+
+    @pytest.mark.parametrize("p", [31, 41])
+    def test_reference_step_solves_psi5_once(self, p, monkeypatch):
+        # the dual carries the codomain's rational 5-torsion, so
+        # distinguished_points does not find the roots of psi_5 again
+        monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
+        F = make_field(p)
+        b = next(b for b in (F.el(c) ** 5 for c in range(2, p))
+                 if not normal_form_discriminant(b, b).is_zero())
+        calls = []
+        roots = poly.roots
+        monkeypatch.setattr(poly, "roots", lambda f, ctx: calls.append(f) or roots(f, ctx))
+        assert velu_reference_step(b)
+        assert len(calls) == 1
+        phi = velu(degree5_curve(b), marked(F))
+        assert distinguished_points(phi) == [P for P in points_of_order(phi.codomain, 5)
+                      if dual_isogeny(phi)(P) == phi.kernel_generator]
 
     def test_wrong_order_rejected(self):
         F, E, phi = phi_f31()

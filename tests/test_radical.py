@@ -328,6 +328,19 @@ class TestReferenceOracle:
         successors = {radical_step_5(b, f"index:{i}").b_next for i in range(5)}
         assert ref == sorted(successors, key=lambda e: e.coeffs)
 
+    @pytest.mark.parametrize("p,v", [(11, 4), (31, 3)])
+    def test_reference_over_extension_matches_radical_steps(self, p, v):
+        # b is no fifth power in F_p, so no rational codomain point is
+        # distinguished and the oracle searches E2[5] over F_{p^5}; there
+        # the radical formula sees all five fifth roots of b
+        b = make_field(p).el(v)
+        assert not nth_roots(b, 5)
+        ref = velu_reference_step(b)
+        ext = ref[0].ctx
+        assert ext.k == 5
+        successors = {radical_step_5(ext.embed(b), f"index:{i}").b_next for i in range(5)}
+        assert ref == sorted(successors, key=lambda e: e.coeffs)
+
     def test_velu_chain_rejects_mod5_fields(self, F31):
         with pytest.raises(ValueError):
             velu_chain(F31.el(2), 1)
