@@ -321,20 +321,6 @@ def lift_point(P: Point, ext: FieldCtx) -> Point:
     return Point(ext.embed(P.x), ext.embed(P.y))
 
 
-def descend_point(P: Point, base: FieldCtx) -> Point:
-    if P.is_infinity:
-        return P
-    ctx = P.x.ctx
-    return Point(ctx.descend(P.x, base), ctx.descend(P.y, base))
-
-
-def descend_curve(E: WeierstrassCurve, base: FieldCtx) -> WeierstrassCurve:
-    ctx = E.ctx
-    return WeierstrassCurve(
-        *(ctx.descend(c, base) for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
-    )
-
-
 # ---------------------------------------------------------------------------
 # torsion points
 # ---------------------------------------------------------------------------

@@ -108,16 +108,6 @@ class FieldCtx:
             raise ContextMismatch("only prime-subfield embeddings are supported")
         return self.el(elem.coeffs[0])
 
-    def descend(self, elem: "FieldElement", base: "FieldCtx") -> "FieldElement":
-        """Map an element with only a constant coefficient down to F_p."""
-        if elem.ctx != self:
-            raise ContextMismatch("element does not belong to this field")
-        if base.p != self.p or base.k != 1:
-            raise ContextMismatch("descent target must be the prime subfield")
-        if any(c != 0 for c in elem.coeffs[1:]):
-            raise ValueError(f"{elem!r} is not in the prime subfield")
-        return base.el(elem.coeffs[0])
-
 
 class FieldElement:
     """A single element of a FieldCtx; supports the usual operators."""

@@ -1,31 +1,40 @@
-"""Separable isogenies with cyclic kernel via Velu's formulas.
+"""Separable isogenies, given by their kernel polynomials.
 
-The dual is built constructively: its kernel is the image of the full
-N-torsion under the forward map, realized either by the rational order-N
-subgroups of the codomain (read off the roots of the division polynomial
-psi_N) or, when none of those is that image, by sampling an N-torsion basis
-over a small extension.  A candidate iso o psi, with psi a Velu quotient of
-the codomain, is the dual exactly when
+An isogeny is its kernel polynomial D (monic, vanishing on the x-coordinates
+of the kernel points other than O) with its rational maps: x o phi = num/D^2
+by Kohel's formulas (Kohel, Endomorphism rings of elliptic curves over
+finite fields, 1996, section 2.4), and y o phi from the invariant
+differential, which phi keeps.  `velu` takes D from the multiples of a
+kernel point, where these become Velu's sums (C. R. Acad. Sci. Paris 273,
+1971).
+
+The dual of phi of odd prime degree N is built over the base field: its
+kernel phi(E[N]) is Galois-stable, so its kernel polynomial is a
+degree-(N-1)/2 divisor of psi_N of the codomain.  A candidate iso o psi,
+with psi the isogeny of such a divisor, is the dual exactly when
   (a) ker(psi o phi) = E[N], an identity of kernel polynomials over the base
       field against psi_N; and
   (b) iso scales the invariant differential by u = N, as [N] does.
 (a) gives psi o phi = lambda o [N] for an isomorphism lambda, and (b) makes
 iso o lambda the automorphism with scale 1, the identity for p >= 5.  The
-check enumerates and samples no points.
+check enumerates and samples no points, and no extension field is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+from sympy import isprime
 
 from . import poly
 from .curve import (
+    O,
     CurveIso,
     Point,
     WeierstrassCurve,
+    _points_for_x,
     base_change,
-    descend_curve,
-    descend_point,
     division_polynomial,
     enumerate_points,
     enum_bound,
@@ -33,44 +42,64 @@ from .curve import (
     has_order,
     isomorphism_with_scale,
     lift_point,
-    points_of_order,
 )
 from .errors import RadicantError, TorsionUnavailable
 
 
 @dataclass(frozen=True)
 class Isogeny:
-    """Separable isogeny with cyclic kernel, in Velu form."""
+    """Separable normalized isogeny: x o phi = x_numerator / D^2, where D is
+    the kernel polynomial; `velu` also records the kernel generator."""
 
     domain: WeierstrassCurve
     codomain: WeierstrassCurve
-    kernel_generator: Point
     degree: int
-    kernel_points: tuple  # all non-infinity kernel points
+    kernel_polynomial: tuple  # D, monic, constant term first
+    x_numerator: tuple
+    kernel_generator: Optional[Point] = None
 
     def __call__(self, P: Point) -> Point:
         return evaluate(self, P)
 
 
-def _velu_terms(E: WeierstrassCurve, kernel) -> list:
-    """Velu's per-point data (x_Q, t_Q, u_Q), one entry per kernel point up
-    to sign; `velu` sums it for the codomain and `_x_map` for x o phi."""
-    a1, a2, a3, a4 = E.a1, E.a2, E.a3, E.a4
-    terms = []
-    seen = set()
-    for Q in kernel:
-        key = Q.x.coeffs
-        if key in seen:
-            continue
-        gx = 3 * Q.x * Q.x + 2 * a2 * Q.x + a4 - a1 * Q.y
-        gy = -2 * Q.y - a1 * Q.x - a3
-        if Q == E.neg(Q):  # two-torsion point
-            tQ = gx
-        else:
-            tQ = 2 * gx - a1 * gy
-            seen.add(key)
-        terms.append((Q.x, tQ, gy * gy))
-    return terms
+def from_kernel_polynomial(
+    E: WeierstrassCurve, D, kernel_generator: Optional[Point] = None
+) -> Isogeny:
+    """The normalized isogeny of E whose kernel polynomial is D, which must
+    be monic and vanish exactly on the x-coordinates of a finite subgroup
+    minus O.
+
+    With f = (2y + a1 x + a3)^2 and T = f'/2, over the roots x_i of D,
+        x o phi = x + sum_i w_i T(x_i) / (x - x_i) + f(x_i) / (x - x_i)^2,
+    with weight w_i = 1/2 on the 2-torsion roots (where f vanishes), else 1.
+    Over the roots of a squarefree g, sum_i h(x_i) / (x - x_i) = (h g' mod g)
+    / g, and the squared terms are minus its derivative.  The codomain is
+    a4 - 5t, a6 - b2 t - 7w, where x o phi = x + t/x + w/x^2 + O(x^-3).
+    """
+    ctx = E.ctx
+    b2, b4, b6, _ = E.b_invariants()
+    f = [b6, 2 * b4, b2, ctx.el(4)]
+    T = [b4, b2, ctx.el(6)]
+    d = len(D) - 1
+    D2 = poly.gcd(D, f, ctx)  # the 2-torsion roots
+
+    def over_roots(h, g):
+        return poly.divmod_(poly.mul(h, poly.derivative(g, ctx), ctx), g, ctx)[1]
+
+    dD = poly.derivative(D, ctx)
+    R_f = over_roots(f, D)
+    half_2torsion = poly.mul(poly.divmod_(D, D2, ctx)[0], over_roots(T, D2), ctx)
+    inner = poly.sub(poly.sub(over_roots(T, D), [c / 2 for c in half_2torsion], ctx),
+                     poly.derivative(R_f, ctx), ctx)
+    # rest = D^2 (x o phi - x), of degree below 2d
+    rest = poly.add(poly.mul(D, inner, ctx), poly.mul(R_f, dD, ctx), ctx)
+    rest += [ctx.zero] * (2 * d - len(rest))
+    t = rest[2 * d - 1]
+    w = rest[2 * d - 2] - 2 * D[d - 1] * t
+    num = poly.add(poly.mul([ctx.zero, ctx.one], poly.mul(D, D, ctx), ctx), rest, ctx)
+    codomain = WeierstrassCurve(E.a1, E.a2, E.a3, E.a4 - 5 * t, E.a6 - b2 * t - 7 * w)
+    degree = 2 * d + 2 - len(D2)  # two points per root, one per 2-torsion root, plus O
+    return Isogeny(E, codomain, degree, tuple(D), tuple(num), kernel_generator)
 
 
 def velu(E: WeierstrassCurve, K: Point) -> Isogeny:
@@ -78,60 +107,47 @@ def velu(E: WeierstrassCurve, K: Point) -> Isogeny:
     E.require(K)
     if K.is_infinity:
         raise ValueError("kernel generator must be a finite point")
-    kernel = []
-    Q = K
-    while not Q.is_infinity:
-        kernel.append(Q)
-        Q = E.add(Q, K)
-    n = len(kernel) + 1
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
-    b2 = a1 * a1 + 4 * a2
-    t_acc = E.ctx.zero
-    w_acc = E.ctx.zero
-    for xQ, tQ, uQ in _velu_terms(E, kernel):
-        t_acc = t_acc + tQ
-        w_acc = w_acc + uQ + xQ * tQ
-    codomain = WeierstrassCurve(a1, a2, a3, a4 - 5 * t_acc, a6 - b2 * t_acc - 7 * w_acc)
-    return Isogeny(E, codomain, K, n, tuple(kernel))
-
-
-def _x_map(phi: Isogeny):
-    """(num, D) with x o phi = num / D^2, where D is the kernel polynomial.
-
-    Velu: x o phi = x + sum over Q of t_Q / (x - x_Q) + u_Q / (x - x_Q)^2.
-    """
-    ctx = phi.domain.ctx
-    terms = _velu_terms(phi.domain, phi.kernel_points)
-    D = [ctx.one]
-    for xQ, _, _ in terms:
-        D = poly.mul(D, [-xQ, ctx.one], ctx)
-    num = poly.mul([ctx.zero, ctx.one], poly.mul(D, D, ctx), ctx)
-    for xQ, tQ, uQ in terms:
-        rest = poly.divmod_(D, [-xQ, ctx.one], ctx)[0]
-        term = poly.mul([uQ - tQ * xQ, tQ], poly.mul(rest, rest, ctx), ctx)
-        num = poly.add(num, term, ctx)
-    return num, D
+    xs = {Q.x.coeffs: Q.x for Q in E.subgroup(K)[1:]}  # Q and -Q share a root
+    return from_kernel_polynomial(E, poly.from_roots(xs.values(), E.ctx), K)
 
 
 def evaluate(phi: Isogeny, P: Point) -> Point:
-    """Image of P under phi (kernel points map to the identity)."""
-    E = phi.domain
+    """Image of P under phi (kernel points map to the identity).
+
+    X = num(x) / D(x)^2.  phi keeps the invariant differential, so
+    2Y + a1 X + a3 = X'(x) (2y + a1 x + a3), which gives Y for odd p.
+    """
+    E, C = phi.domain, phi.codomain
     E.require(P)
     if P.is_infinity:
         return P
-    for Q in phi.kernel_points:
-        if P == Q:
-            return Point.infinity()
-    x_acc = P.x
-    y_acc = P.y
-    for Q in phi.kernel_points:
-        R = E.add(P, Q)
-        x_acc = x_acc + R.x - Q.x
-        y_acc = y_acc + R.y - Q.y
-    image = Point(x_acc, y_acc)
-    if not phi.codomain.contains(image):
+    D, dD = poly.value_and_derivative(phi.kernel_polynomial, P.x)
+    if D.is_zero():
+        return O
+    num, dnum = poly.value_and_derivative(phi.x_numerator, P.x)
+    inv = D.inverse()
+    inv_sq = inv * inv
+    X = num * inv_sq
+    slope = (dnum * D - 2 * num * dD) * inv_sq * inv
+    Y = (slope * (2 * P.y + E.a1 * P.x + E.a3) - C.a1 * X - C.a3) / 2
+    image = Point(X, Y)
+    if not C.contains(image):
         raise RadicantError("isogeny evaluation left the codomain")
     return image
+
+
+def _embedded(phi: Isogeny, ext) -> Isogeny:
+    """phi's curves and maps over ext, an extension of its prime base field,
+    with every coefficient embedded once (the kernel generator is left out)."""
+    if phi.domain.ctx == ext:
+        return phi
+    return Isogeny(
+        base_change(phi.domain, ext),
+        base_change(phi.codomain, ext),
+        phi.degree,
+        tuple(ext.embed(c) for c in phi.kernel_polynomial),
+        tuple(ext.embed(c) for c in phi.x_numerator),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +156,23 @@ def evaluate(phi: Isogeny, P: Point) -> Point:
 
 @dataclass(frozen=True)
 class DualIsogeny:
-    """Backward map with dual o phi = [N], possibly routed via an extension."""
+    """Backward map with dual o phi = [N], built over the base field."""
 
     forward: Isogeny
-    quotient: Isogeny  # codomain/<image of E[N]>, over the working field
+    quotient: Isogeny  # codomain -> codomain/phi(E[N])
     back_iso: CurveIso  # isomorphism from the quotient codomain onto E
-    ext_ctx: object  # FieldCtx of the working field (may equal the base)
     # the rational order-N points of forward.codomain, as dual_isogeny found
     # them; distinguished_points reads them instead of solving psi_N again
     codomain_torsion: tuple = ()
 
+    @property
+    def ext_ctx(self):
+        """The field the dual works over, always the base field; kept for
+        readers of the former extension route (the benchmark tracer)."""
+        return self.forward.domain.ctx
+
     def __call__(self, P: Point) -> Point:
-        E = self.forward.domain
-        base = E.ctx
-        if self.ext_ctx == base:
-            return self.back_iso.apply(evaluate(self.quotient, P))
-        lifted = lift_point(P, self.ext_ctx)
-        img = evaluate(self.quotient, lifted)
-        return self.back_iso.apply(descend_point(img, base))
+        return self.back_iso.apply(evaluate(self.quotient, P))
 
 
 def _verify_dual(cand: "DualIsogeny") -> bool:
@@ -169,10 +184,10 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
     vanishes exactly on the x-coordinates of ker(psi o phi) - {O}, each once.
     It is monic, so it equals monic(psi_N(E)) iff ker(psi o phi) = E[N],
     and then psi o phi = lambda o [N] for an isomorphism lambda.
-    (b) Scale.  Velu maps keep the invariant differential, [N] multiplies it
-    by N, and iso multiplies it by its scale u.  So iso o lambda has scale
-    u / N, and for p >= 5 the automorphism with scale 1 is the identity:
-    cand o phi = [N] iff u = N.
+    (b) Scale.  Normalized isogenies keep the invariant differential, [N]
+    multiplies it by N, and iso multiplies it by its scale u.  So iso o
+    lambda has scale u / N, and for p >= 5 the automorphism with scale 1 is
+    the identity: cand o phi = [N] iff u = N.
     Both are identities over the base field; no point is enumerated or
     sampled.
     """
@@ -181,14 +196,8 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
     base = E.ctx
     if cand.back_iso.u != phi.degree:
         return False
-    D_psi = _x_map(cand.quotient)[1]
-    if cand.ext_ctx != base:
-        # the dual kernel phi(E[N]) is Galois-stable, so its D_psi descends
-        try:
-            D_psi = [cand.ext_ctx.descend(c, base) for c in D_psi]
-        except ValueError:
-            return False
-    num, D = _x_map(phi)
+    D_psi = cand.quotient.kernel_polynomial
+    num, D = phi.x_numerator, phi.kernel_polynomial
     D_sq = poly.mul(D, D, base)
     # homogeneous Horner: acc_j = sum_{i >= j} c_i num^(i-j) (D^2)^(d-i)
     acc, D_sq_pow = [D_psi[-1]], [base.one]
@@ -199,64 +208,69 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
     return kernel_poly == poly.monic(division_polynomial(E, phi.degree), base)
 
 
-def _candidate(phi: Isogeny, psi: Isogeny, ext_ctx, torsion: tuple):
-    """iso o psi with iso of scale u = N onto the domain, or None.
+def _dual_kernels(E2: WeierstrassCurve, N: int, psi, roots: list):
+    """Kernel polynomials of Galois-stable subgroups of order N of E2.
 
-    Only that scale can close psi o phi to [N] (see `_verify_dual`), and it
-    forces the rest of iso, so no other isomorphism is tried.
+    The doubling map delta(x) = x([2]P) permutes the roots of psi_N.  For
+    N = 5 a subgroup <P> has the x-coordinates x(P) and delta(x(P)): two
+    rational roots, or the roots of an irreducible quadratic factor on which
+    Frobenius acts as doubling, which then divides delta(x) - x^q.  In
+    general: a delta-orbit of (N-1)/2 rational roots, or an irreducible
+    factor of degree (N-1)/2 on which Frobenius is a power of delta; these
+    are all the subgroups when (N-1)/2 is 1 or prime and 2 generates
+    (Z/N)^x / {+-1}, as for N = 3, 5, 7, 11.  The others are sought only
+    when no rational candidate is the dual.
     """
-    E = phi.domain
-    base = E.ctx
-    quotient_codomain = psi.codomain
-    if ext_ctx != base:
-        try:
-            quotient_codomain = descend_curve(psi.codomain, base)
-        except ValueError:
-            return None
-    iso = isomorphism_with_scale(quotient_codomain, E, base.el(phi.degree))
-    return None if iso is None else DualIsogeny(phi, psi, iso, ext_ctx, torsion)
+    ctx = E2.ctx
+    b2, b4, b6, b8 = E2.b_invariants()
+    dbl_num = [-b8, -2 * b6, -b4, ctx.zero, ctx.one]
+    dbl_den = [b6, 2 * b4, b2, ctx.el(4)]
+    half = (N - 1) // 2
+    seen = set()
+    for x0 in roots:
+        orbit = [x0]
+        while (r := poly.value_and_derivative(dbl_num, orbit[-1])[0]
+               / poly.value_and_derivative(dbl_den, orbit[-1])[0]) != x0:
+            orbit.append(r)
+        key = frozenset(r.coeffs for r in orbit)
+        if len(orbit) == half and key not in seen:
+            seen.add(key)
+            yield poly.from_roots(orbit, ctx)
+    frob = [ctx.zero, ctx.one]
+    for _ in range(half - 1):
+        frob = poly.powmod(frob, ctx.q, psi, ctx)  # x^(q^j) mod psi_N
+        # the roots r of psi_N with delta(r) = r^(q^j)
+        stable = poly.gcd(psi, poly.sub(dbl_num, poly.mul(frob, dbl_den, ctx), ctx), ctx)
+        if len(stable) > 1:
+            yield from (g for g in poly.factors(stable, ctx, half) if len(g) - 1 == half)
 
 
 def dual_isogeny(phi: Isogeny) -> DualIsogeny:
-    """The dual of phi, characterized by dual o phi = [deg phi].
+    """The dual of phi of odd prime degree N, characterized by
+    dual o phi = [N].
 
-    Raises ValueError when the characteristic divides deg phi: that dual is
-    inseparable, so it is no Velu quotient.
+    Raises ValueError when N is no odd prime, and when the characteristic
+    divides N: that dual is inseparable, so it has no kernel polynomial.
     """
     E, E2, N = phi.domain, phi.codomain, phi.degree
-    p = E.ctx.p
-    if N % p == 0:
+    ctx = E.ctx
+    if N == 2 or not isprime(N):
+        raise ValueError(f"duals are built for odd prime degrees, not {N}")
+    if N % ctx.p == 0:
         raise ValueError(
-            f"characteristic {p} divides deg phi = {N}: the dual is inseparable, "
+            f"characteristic {ctx.p} divides deg phi = {N}: the dual is inseparable, "
             f"so no Velu quotient has the scale u = {N} = 0 it needs"
         )
-    # rational route: the dual kernel is often pointwise rational (it always
-    # is when q = 1 mod N and the forward kernel is rational)
-    torsion = tuple(points_of_order(E2, N))
-    seen_subgroups = set()
-    for K in torsion:
-        sub = frozenset(
-            (Q.x.coeffs, Q.y.coeffs) for Q in E2.subgroup(K) if not Q.is_infinity
-        )
-        if sub in seen_subgroups:
-            continue
-        seen_subgroups.add(sub)
-        cand = _candidate(phi, velu(E2, K), E2.ctx, torsion)
-        if cand is not None and _verify_dual(cand):
-            return cand
-    # extension route: push a full torsion basis through phi
-    if E.ctx.k != 1:
-        raise TorsionUnavailable("dual construction needs a prime base field")
-    d, ext, (Q1, Q2) = full_torsion_degree(E, N)
-    Ee = base_change(E, ext)
-    phi_ext = velu(Ee, lift_point(phi.kernel_generator, ext))
-    for Q in (Q1, Q2, Ee.add(Q1, Q2)):
-        K = evaluate(phi_ext, Q)
-        if K.is_infinity:
-            continue
-        cand = _candidate(phi, velu(base_change(E2, ext), K), ext, torsion)
-        if cand is not None and _verify_dual(cand):
-            return cand
+    psi = division_polynomial(E2, N)
+    roots = poly.roots(psi, ctx)
+    torsion = tuple(P for x in roots for P in _points_for_x(E2, x))
+    for D in _dual_kernels(E2, N, psi, roots):
+        quotient = from_kernel_polynomial(E2, D)
+        iso = isomorphism_with_scale(quotient.codomain, E, ctx.el(N))
+        if iso is not None:
+            cand = DualIsogeny(phi, quotient, iso, torsion)
+            if _verify_dual(cand):
+                return cand
     raise RadicantError("failed to construct the dual isogeny")
 
 
@@ -264,7 +278,7 @@ _DUAL_CACHE: dict = {}
 
 
 def cached_dual(phi: Isogeny) -> DualIsogeny:
-    key = (phi.domain, phi.kernel_generator)
+    key = (phi.domain, phi.kernel_polynomial)
     if key not in _DUAL_CACHE:
         if len(_DUAL_CACHE) > 64:
             _DUAL_CACHE.clear()
@@ -299,11 +313,15 @@ def distinguished_points(phi: Isogeny) -> list:
     if out:
         return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
     # no rational hits: realize the N-torsion of the codomain over an
-    # extension and test every order-N combination there
+    # extension and test every order-N combination there, with the dual's
+    # maps and isomorphism embedded once
     d, ext, (Q1, Q2) = full_torsion_degree(E2, N)
-    E2e = base_change(E2, ext)
     target = lift_point(phi.kernel_generator, ext)
-    quotient, back_iso = _dual_over(dual, ext)
+    quotient = _embedded(dual.quotient, ext)
+    E2e = quotient.domain
+    iso = dual.back_iso
+    back_iso = CurveIso(*(ext.embed(c) for c in (iso.u, iso.r, iso.s, iso.t)),
+                        quotient.codomain, base_change(iso.codomain, ext))
     found = []
     for i in range(N):
         for j in range(N):
@@ -315,32 +333,6 @@ def distinguished_points(phi: Isogeny) -> list:
             if back_iso.apply(evaluate(quotient, P2)) == target:
                 found.append(P2)
     return sorted(found, key=lambda P: (P.x.coeffs, P.y.coeffs))
-
-
-def _lift_iso(iso: CurveIso, ext) -> CurveIso:
-    return CurveIso(
-        ext.embed(iso.u),
-        ext.embed(iso.r),
-        ext.embed(iso.s),
-        ext.embed(iso.t),
-        base_change(iso.domain, ext),
-        base_change(iso.codomain, ext),
-    )
-
-
-def _dual_over(dual: DualIsogeny, ext) -> tuple:
-    """(quotient, back_iso) of the dual, both over the extension ext."""
-    base = dual.forward.domain.ctx
-    if dual.ext_ctx == base:
-        quotient = velu(
-            base_change(dual.quotient.domain, ext),
-            lift_point(dual.quotient.kernel_generator, ext),
-        )
-    elif dual.ext_ctx == ext:
-        quotient = dual.quotient
-    else:
-        raise TorsionUnavailable("dual working field mismatch")
-    return quotient, _lift_iso(dual.back_iso, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +353,8 @@ def composition_kernel(phi: Isogeny, psi: Isogeny, max_degree: int = 3) -> list:
         ext = E.ctx if d == 1 else make_field(E.ctx.p, d)
         if ext.q > enum_bound():
             break
-        Ee = base_change(E, ext)
-        phi_e = velu(Ee, lift_point(phi.kernel_generator, ext))
-        psi_e = velu(
-            base_change(psi.domain, ext), lift_point(psi.kernel_generator, ext)
-        )
-        kernel = [P for P in enumerate_points(Ee)
+        phi_e, psi_e = _embedded(phi, ext), _embedded(psi, ext)
+        kernel = [P for P in enumerate_points(phi_e.domain)
                   if evaluate(psi_e, evaluate(phi_e, P)).is_infinity]
         if len(kernel) == expected:
             return kernel

@@ -192,8 +192,14 @@ def tate_reduced(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElemen
 
 
 def weil(E: WeierstrassCurve, S: Point, T: Point, N: int) -> FieldElement:
-    """Weil pairing e_N(S, T) for S, T in E[N], computed as
-    f_{N,S}(D_T) / f_{N,T}(D_S) on shifted divisors with disjoint support."""
+    """Weil pairing e_N(S, T) for S, T in E[N].
+
+    e_N(S, T) = f_{D_S}(D_T) / f_{D_T}(D_S) with D_S = (S) - (O) and the
+    shifted D_T = (T + U) - (U), whose function is f_{N,T}(X - U) up to a
+    constant.  So e = [f_{N,S}(T + U) / f_{N,S}(U)] * [f_{N,T}(-U) /
+    f_{N,T}(S - U)], and the supports are disjoint when U is none of O, S,
+    -T and S - T.
+    """
     E.require(S)
     E.require(T)
     if not E.mul(N, S).is_infinity or not E.mul(N, T).is_infinity:
@@ -202,25 +208,19 @@ def weil(E: WeierstrassCurve, S: Point, T: Point, N: int) -> FieldElement:
     if S.is_infinity or T.is_infinity:
         return one
     for U in _point_candidates(E):
-        TU = E.add(T, U)
-        if TU.is_infinity or TU == S or U == S:
+        negU = E.neg(U)
+        TU, SU = E.add(T, U), E.add(S, negU)
+        if U == S or TU.is_infinity or TU == S:
             continue
-        for V in _point_candidates(E):
-            if V == U:
-                continue
-            SV = E.add(S, V)
-            if SV.is_infinity or SV == T or V == T:
-                continue
-            try:
-                num = _miller_raw(E, S, TU, N) / _miller_raw(E, S, U, N)
-                den = _miller_raw(E, T, SV, N) / _miller_raw(E, T, V, N)
-            except SupportCollision:
-                continue
-            e = num / den
-            if not e**N == one:
-                raise InvariantError("Weil value is not an N-th root of unity")
-            return e
-    raise SupportCollision("no valid divisor shifts found for the Weil pairing")
+        try:
+            e = (_miller_raw(E, S, TU, N) / _miller_raw(E, S, U, N)
+                 * _miller_raw(E, T, negU, N) / _miller_raw(E, T, SU, N))
+        except SupportCollision:
+            continue
+        if not e**N == one:
+            raise InvariantError("Weil value is not an N-th root of unity")
+        return e
+    raise SupportCollision("no valid divisor shift found for the Weil pairing")
 
 
 def radicand(tp: TateParams) -> FieldElement:

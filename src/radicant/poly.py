@@ -3,8 +3,10 @@
 This is the package's one polynomial implementation: field.py inverts
 through the Frobenius norm and has no polynomial code of its own.  Hosts the
 one Rabin irreducibility test, used over any F_{p^k}; make_field bootstraps
-through it over the prime field F_p.  `roots` finds the roots in the field by
-Cantor-Zassenhaus splitting.  Polynomials are lists, constant term first.
+through it over the prime field F_p.  `factors` finds the irreducible factors
+of small degree by distinct-degree and Cantor-Zassenhaus equal-degree
+splitting; `roots` is its degree-1 case.  Polynomials are lists, constant
+term first.
 """
 
 from __future__ import annotations
@@ -98,37 +100,73 @@ def gcd(f, g, ctx):
     return f
 
 
-def roots(f, ctx) -> list:
-    """The distinct roots of f in the field, in canonical element order.
+def from_roots(roots, ctx):
+    """The monic polynomial with the given roots."""
+    f = [ctx.one]
+    for r in roots:
+        f = mul(f, [-r, ctx.one], ctx)
+    return f
 
-    g = gcd(f, x^q - x) is the product of the distinct linear factors of f.
-    Cantor-Zassenhaus splits it: for random a, gcd(g, (x + a)^((q-1)/2) - 1)
-    takes each root r with r + a a nonzero square, so it is a proper factor
-    about half the time.  The rng has a fixed seed; the root set is unique
-    anyway.
+
+def derivative(f, ctx):
+    return [i * c for i, c in enumerate(f)][1:] or [ctx.zero]
+
+
+def value_and_derivative(f, x):
+    """(f(x), f'(x)) by one Horner pass."""
+    value, slope = f[-1], x.ctx.zero
+    for c in reversed(f[:-1]):
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def factors(f, ctx, max_degree: int = 1) -> list:
+    """The distinct monic irreducible factors of f of degree at most
+    max_degree, ordered by degree, then by coefficients (constant first).
+
+    Distinct-degree step: with the factors of degree below d divided out,
+    gcd(f, x^(q^d) - x) is the product of those of degree d.  Equal-degree
+    step (Cantor-Zassenhaus): for a random monic a, gcd(g, a^((q^d-1)/2) - 1)
+    takes each factor of g modulo which a is a nonzero square, so it is a
+    proper factor about half the time.  For d = 1, a = x + c suffices and
+    keeps the powers short.  The rng has a fixed seed; the factors are
+    unique anyway.
     """
     f = trim(f, ctx)
     if f == [ctx.zero]:
-        raise ValueError("every element is a root of the zero polynomial")
+        raise ValueError("the zero polynomial has no factorization")
     x = [ctx.zero, ctx.one]
-    g = gcd(f, sub(powmod(x, ctx.q, f, ctx), x, ctx), ctx)
     rng = random.Random(0)
-    half = (ctx.q - 1) // 2
-    found, todo = [], [g]
-    while todo:
-        g = todo.pop()
-        if len(g) == 2:
-            found.append(-g[0])
-            continue
-        if len(g) < 2:
-            continue
-        while True:
-            h = sub(powmod([ctx.random_element(rng), ctx.one], half, g, ctx), [ctx.one], ctx)
-            h = gcd(g, h, ctx)
-            if 1 < len(h) < len(g):
-                break
-        todo += [h, divmod_(g, h, ctx)[0]]
-    return sorted(found, key=lambda e: e.coeffs)
+    rest, x_power, found = monic(f, ctx), x, []
+    for d in range(1, max_degree + 1):
+        if len(rest) == 1:
+            break
+        x_power = powmod(x_power, ctx.q, rest, ctx)  # x^(q^d) mod rest
+        g = gcd(rest, sub(x_power, x, ctx), ctx)
+        while len(common := gcd(rest, g, ctx)) > 1:  # every copy of each factor
+            rest = divmod_(rest, common, ctx)[0]
+        half = (ctx.q**d - 1) // 2
+        todo = [g]
+        while todo:
+            g = todo.pop()
+            if len(g) - 1 == d:
+                found.append(g)
+                continue
+            while len(g) > 1:
+                width = 1 if d == 1 else len(g) - 1
+                a = [ctx.random_element(rng) for _ in range(width)] + [ctx.one]
+                h = gcd(g, sub(powmod(a, half, g, ctx), [ctx.one], ctx), ctx)
+                if 1 < len(h) < len(g):
+                    todo += [h, divmod_(g, h, ctx)[0]]
+                    break
+    return sorted(found, key=lambda g: (len(g), [c.coeffs for c in g]))
+
+
+def roots(f, ctx) -> list:
+    """The distinct roots of f in the field, in canonical element order: the
+    linear `factors` x - r."""
+    return sorted((-g[0] for g in factors(f, ctx)), key=lambda e: e.coeffs)
 
 
 def is_irreducible(f, ctx) -> bool:

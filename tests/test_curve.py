@@ -209,12 +209,12 @@ class TestEnumeration:
             enumerate_points(degree5_curve(make_field(11).el(2)))
 
     def test_invalid_enumeration_bound_is_a_usage_error(self, monkeypatch, capsys):
-        from radicant import isogeny
         from radicant.cli import main
 
         monkeypatch.setenv("RADICANT_ENUM_BOUND", "abc")
-        # an empty dual cache, so bench builds the dual and reads the bound
-        monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
+        # an empty group-order cache, so bench's sampling comparand counts
+        # the curve's points and reads the bound
+        group_order.cache_clear()
         assert main(["bench", "--p", "13", "--b", "4", "--steps", "1"]) == 1
         assert capsys.readouterr().err == (
             "error: RADICANT_ENUM_BOUND must be a positive integer, got 'abc'\n"

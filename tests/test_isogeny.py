@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from radicant import isogeny, poly
+from radicant import curve, field, isogeny, poly
 from radicant.curve import (
     O,
+    CurveIso,
     Point,
     _points_for_x,
     base_change,
     degree5_curve,
-    descend_curve,
+    division_polynomial,
     enumerate_points,
     isomorphisms,
     lift_point,
@@ -24,12 +25,14 @@ from radicant.curve import (
 from radicant.field import make_field
 from radicant.isogeny import (
     DualIsogeny,
-    _lift_iso,
+    _dual_kernels,
+    _embedded,
     _verify_dual,
     composition_kernel,
     dual_isogeny,
     distinguished_points,
     evaluate,
+    from_kernel_polynomial,
     is_distinguished,
     kernel_is_cyclic,
     velu,
@@ -70,14 +73,17 @@ class TestVelu:
 
     def test_degree_equals_kernel_size(self):
         F, E, phi = phi_f31()
-        assert phi.degree == 5 == len(phi.kernel_points) + 1
-        assert all(point_order(E, Q) == 5 for Q in phi.kernel_points)
+        kernel = E.subgroup(phi.kernel_generator)
+        assert phi.degree == 5 == len(kernel)
+        assert all(point_order(E, Q) == 5 for Q in kernel[1:])
+        # one root per pair +-Q
+        assert len(phi.kernel_polynomial) == 3
 
     def test_kernel_maps_to_identity(self):
         F, E, phi = phi_f31()
         assert evaluate(phi, O) == O
         assert evaluate(phi, phi.kernel_generator) == O
-        for Q in phi.kernel_points:
+        for Q in E.subgroup(phi.kernel_generator):
             assert evaluate(phi, Q) == O
 
     def test_infinity_kernel_rejected(self):
@@ -120,6 +126,41 @@ class TestVelu:
                 evaluate(phi, Q1), evaluate(phi, Q2)
             )
 
+    @pytest.mark.parametrize("p,k", [(13, 1), (31, 1), (7, 2)])
+    def test_rational_maps_match_pointwise_sums(self, p, k):
+        # Velu's pointwise form, x(phi(P)) = x(P) + sum over Q in K - {O} of
+        # x(P + Q) - x(Q), and the same for y, against the rational maps of
+        # the kernel polynomial, for kernels of orders 2..9 on curves with
+        # every a-invariant drawn
+        from radicant.curve import WeierstrassCurve
+        from radicant.errors import DegenerateParams
+
+        F = make_field(p, k)
+        rng = random.Random(p + k)
+        degrees = set()
+        while len(degrees) < 4:
+            try:
+                E = WeierstrassCurve(*(F.random_element(rng) for _ in range(5)))
+            except DegenerateParams:
+                continue
+            pts = enumerate_points(E)
+            kernels = [K for K in pts[1:] if point_order(E, K, len(pts)) < 10]
+            if not kernels:
+                continue
+            K = rng.choice(kernels)
+            phi = velu(E, K)
+            degrees.add(phi.degree)
+            for P in rng.sample(pts, min(20, len(pts))):
+                image = evaluate(phi, P)
+                if P in E.subgroup(K):
+                    assert image == O
+                    continue
+                x, y = P.x, P.y
+                for Q in E.subgroup(K)[1:]:
+                    R = E.add(P, Q)
+                    x, y = x + R.x - Q.x, y + R.y - Q.y
+                assert image == Point(x, y)
+
     def test_image_of_order_25_point_has_order_5(self):
         F = make_field(101)
         E = degree5_curve(F.el(6))
@@ -139,7 +180,8 @@ class TestDual:
             X = rng.choice(pts)
             assert dual(evaluate(phi, X)) == E.mul(5, X)
 
-    def test_dual_composition_extension_route(self):
+    def test_dual_composition_quadratic_kernel(self):
+        # the dual's kernel polynomial x^2 + 8 is irreducible over F_13
         F = make_field(13)
         E = degree5_curve(F.el(4))
         phi = velu(E, marked(F))
@@ -149,7 +191,8 @@ class TestDual:
 
     @pytest.mark.parametrize("p,b", [(31, 11), (13, 4)])
     def test_verify_dual_rejects_negated_dual(self, p, b):
-        # rational dual route over F_31, extension route over F_13.  [-1] o dual
+        # the dual's kernel has rational roots over F_31 and is an irreducible
+        # quadratic over F_13.  [-1] o dual
         # agrees with the dual wherever [10]X = O, which is all of
         # E(F_31) = Z/5 x Z/5, so an overestimated lcm of the checked orders
         # would accept it before a disagreeing point turns up.
@@ -159,8 +202,39 @@ class TestDual:
         dual = dual_isogeny(phi)
         assert _verify_dual(dual)
         neg = next(a for a in isomorphisms(E, E) if a.u == -1)
-        negated = DualIsogeny(phi, dual.quotient, dual.back_iso.compose(neg), dual.ext_ctx)
+        negated = DualIsogeny(phi, dual.quotient, dual.back_iso.compose(neg))
         assert not _verify_dual(negated)
+
+    def test_dual_builds_no_extension_field(self, monkeypatch):
+        # every dual is built over its base field, F_p or F_{p^2}
+        rng = random.Random(5)
+        instances = []
+        for p in (11, 13, 17, 19, 29, 31):
+            F = make_field(p)
+            instances += [F.el(v) for v in range(1, p)]
+        F = make_field(13, 2)
+        instances += rng.sample(list(F.elements()), 40)
+
+        def refuse(*args):
+            raise AssertionError("the dual built an extension field")
+
+        monkeypatch.setattr(field, "make_field", refuse)
+        monkeypatch.setattr(curve, "base_change", refuse)
+        monkeypatch.setattr(isogeny, "base_change", refuse)
+        checked = {13 ** 2: 0}
+        for b in instances:
+            if b.is_zero() or normal_form_discriminant(b, b).is_zero():
+                continue
+            if b.ctx.k == 2 and checked[b.ctx.q] == 20:
+                continue
+            E = degree5_curve(b)
+            phi = velu(E, marked(b.ctx))
+            dual = dual_isogeny(phi)
+            for X in enumerate_points(E):
+                assert dual(evaluate(phi, X)) == E.mul(5, X), (b, X)
+            checked[b.ctx.q] = checked.get(b.ctx.q, 0) + 1
+        assert checked[13 ** 2] == 20
+        assert sum(checked.values()) == 8 + 12 + 16 + 16 + 26 + 28 + 20
 
     def test_dual_kernel_size(self):
         F, E, phi = phi_f31()
@@ -181,14 +255,14 @@ class BruteForce:
     Agreement on X puts <X> inside it, so agreement on more than 4 N^2
     points, or on points whose orders have lcm above 4 N^2, proves
     delta = 0.  Points are taken in x order over W; their images, [N]X and
-    the running lcm are shared by every candidate for the same phi and W.
+    the running lcm are shared by every candidate for the same phi.
     """
 
     def __init__(self, phi, W):
         self.N = phi.degree
         self.bound = 4 * self.N * self.N
-        self.E = base_change(phi.domain, W)
-        self.phi = velu(self.E, lift_point(phi.kernel_generator, W))
+        self.phi = _embedded(phi, W)
+        self.E = self.phi.domain
         self.order = order_over_extension(phi.domain, W.k)
         self.points = (X for x in W.elements() for X in _points_for_x(self.E, x))
         self.rows = []
@@ -204,10 +278,10 @@ class BruteForce:
         return self.rows[i]
 
     def is_dual(self, cand):
-        psi, W = cand.quotient, self.W
-        if psi.domain.ctx != W:
-            psi = velu(base_change(psi.domain, W), lift_point(psi.kernel_generator, W))
-        iso = _lift_iso(cand.back_iso, W)
+        W, back = self.W, cand.back_iso
+        psi = _embedded(cand.quotient, W)
+        iso = CurveIso(*(W.embed(c) for c in (back.u, back.r, back.s, back.t)),
+                       psi.codomain, self.E)
         for i in itertools.count():
             image, target, lcm = self.row(i)
             if iso.apply(evaluate(psi, image)) != target:
@@ -219,9 +293,11 @@ class BruteForce:
 class TestVerifyDualAgainstBruteForce:
     @pytest.mark.parametrize("p", [11, 13, 19, 31])
     def test_every_candidate(self, p):
-        # candidates: every rational order-5 subgroup of the codomain, plus
-        # the extension route's quotient when the dual needs one, each with
-        # every isomorphism onto E (all scales u, not only u = 5)
+        # candidates: every kernel polynomial of a Galois-stable order-5
+        # subgroup of the codomain (two rational roots or an irreducible
+        # quadratic factor of psi_5), each with every isomorphism onto E
+        # (all scales u, not only u = 5).  They are compared over the least
+        # F_{q^d} with #E(F_{q^d}) > 4 N^2.
         F = make_field(p)
         for v in range(1, p):
             b = F.el(v)
@@ -230,27 +306,16 @@ class TestVerifyDualAgainstBruteForce:
             E = degree5_curve(b)
             phi = velu(E, marked(F))
             E2 = phi.codomain
-            subgroups = {}
-            for K in points_of_order(E2, 5):
-                subgroups.setdefault(frozenset(Q.x.coeffs for Q in E2.subgroup(K)[1:]), K)
-            quotients = [(velu(E2, K), F) for K in subgroups.values()]
-            dual = dual_isogeny(phi)
-            if dual.ext_ctx != F:
-                quotients.append((dual.quotient, dual.ext_ctx))
-            # rational candidates are compared over the least F_{q^d} with
-            # #E(F_{q^d}) > 4 N^2, extension ones over their own field
             d = next(d for d in itertools.count(1) if order_over_extension(E, d) > 100)
-            brute = {}
+            brute = BruteForce(phi, F if d == 1 else make_field(p, d))
+            psi5 = division_polynomial(E2, 5)
             accepted = 0
-            for psi, W in quotients:
-                codomain = psi.codomain if W == F else descend_curve(psi.codomain, F)
-                W_cmp = make_field(p, d) if W == F else W
-                if W_cmp not in brute:
-                    brute[W_cmp] = BruteForce(phi, W_cmp)
-                for iso in isomorphisms(codomain, E):
-                    cand = DualIsogeny(phi, psi, iso, W)
+            for D in _dual_kernels(E2, 5, psi5, poly.roots(psi5, F)):
+                psi = from_kernel_polynomial(E2, D)
+                for iso in isomorphisms(psi.codomain, E):
+                    cand = DualIsogeny(phi, psi, iso)
                     verdict = _verify_dual(cand)
-                    assert verdict == brute[W_cmp].is_dual(cand), (v, iso.u)
+                    assert verdict == brute.is_dual(cand), (v, D, iso.u)
                     accepted += verdict
             assert accepted == 1
 
@@ -310,14 +375,16 @@ class TestDistinguished:
     @pytest.mark.parametrize("p", [31, 41])
     def test_reference_step_solves_psi5_once(self, p, monkeypatch):
         # the dual carries the codomain's rational 5-torsion, so
-        # distinguished_points does not find the roots of psi_5 again
+        # distinguished_points does not factor psi_5 again; poly.roots goes
+        # through poly.factors, so this counts its calls too
         monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
         F = make_field(p)
         b = next(b for b in (F.el(c) ** 5 for c in range(2, p))
                  if not normal_form_discriminant(b, b).is_zero())
         calls = []
-        roots = poly.roots
-        monkeypatch.setattr(poly, "roots", lambda f, ctx: calls.append(f) or roots(f, ctx))
+        factors = poly.factors
+        monkeypatch.setattr(poly, "factors",
+                            lambda *args: calls.append(args) or factors(*args))
         assert velu_reference_step(b)
         assert len(calls) == 1
         phi = velu(degree5_curve(b), marked(F))

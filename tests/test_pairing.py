@@ -6,6 +6,7 @@ from radicant.curve import (
     O,
     Point,
     TateParams,
+    base_change,
     degree5_curve,
     enumerate_points,
     normal_form_discriminant,
@@ -13,6 +14,7 @@ from radicant.curve import (
 )
 from radicant.errors import DegenerateParams, SupportCollision
 from radicant.field import make_field, nth_roots
+from radicant.isogeny import velu
 from radicant.pairing import _miller_raw, miller, radicand, tate_reduced, weil
 
 
@@ -158,6 +160,17 @@ class TestWeil:
         E = degree5_curve(F31.el(11))
         P1, _ = torsion_basis(E, 5, F31)
         assert weil(E, O, P1, 5) == F31.one
+
+    def test_dependent_pair_over_extension(self, F11):
+        # S = (3, 4) and T = [2]S on the quotient of degree5_curve(2), both
+        # rational over F_11, paired over F_{11^5}: e_5(S, [2]S) = 1
+        E2 = velu(degree5_curve(F11.el(2)), marked(F11)).codomain
+        ext = make_field(11, 5)
+        E2e = base_change(E2, ext)
+        S = Point(ext.el(3), ext.el(4))
+        T = E2e.mul(2, S)
+        assert T == Point(ext.el(5), ext.el(4))
+        assert weil(E2e, S, T, 5) == ext.one
 
     def test_non_torsion_rejected(self, F31):
         from radicant.curve import points_of_order

@@ -117,3 +117,27 @@ def test_roots_of_polynomials_without_roots():
     assert poly.roots([F.el(4)], F) == []
     with pytest.raises(ValueError):
         poly.roots([F.zero, F.zero], F)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (5, 2)])
+def test_factors_match_a_scan_of_monic_divisors(p, k):
+    # random products of linear, quadratic and cubic factors, some repeated:
+    # the factors of degree <= 2 are the monic divisors of degree <= 2 that
+    # have no root of lower degree, found by scanning all of them
+    F = make_field(p, k)
+    rng = random.Random(10 * p + k)
+    elements = list(F.elements())
+    monics = [[a, F.one] for a in elements] + [[a, b, F.one] for a in elements
+                                                 for b in elements]
+    for _ in range(12):
+        f = [F.el(2)]
+        for _ in range(rng.randrange(1, 6)):
+            g = [F.random_element(rng) for _ in range(rng.randrange(1, 4))] + [F.one]
+            for _ in range(rng.choice((1, 1, 2))):
+                f = poly.mul(f, g, F)
+        expected = [g for g in monics
+                    if poly.divmod_(f, g, F)[1] == [F.zero]
+                    and (len(g) == 2 or not roots_by_scan(g, F))]
+        got = poly.factors(f, F, 2)
+        assert got == sorted(expected, key=lambda g: (len(g), [c.coeffs for c in g]))
+        assert poly.factors(f, F) == [g for g in got if len(g) == 2]

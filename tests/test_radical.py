@@ -229,6 +229,7 @@ def _stepwise(b0, steps, policy):
 
 class TestChainDifferential:
     def _check(self, b0, steps, policy):
+        """Returns the values the chain reached."""
         values, error = _stepwise(b0, steps, policy)
         if error is None:
             assert radical_chain(b0, steps, policy).b_values == tuple(values)
@@ -238,6 +239,7 @@ class TestChainDifferential:
             assert str(err.value) == error[1]
         for b, b_next in zip(values, values[1:]):
             assert degree5_curve(b_next).j_invariant() == _quotient_j(b)
+        return values
 
     @settings(max_examples=25)
     @given(p=st.sampled_from(UNIQUE_PRIMES), v=st.integers(1, 10**6),
@@ -253,7 +255,10 @@ class TestChainDifferential:
     def test_quadratic_field_unique(self, p, v, steps):
         b0 = make_field(p, 2).el(v)
         assume(not normal_form_discriminant(b0, b0).is_zero())
-        self._check(b0, steps, "unique")
+        values = self._check(b0, steps, "unique")
+        # the Velu oracle, with its dual built over F_{p^2}, agrees
+        for b, b_next in zip(values, values[1:]):
+            assert velu_reference_step(b) == [b_next]
 
     @settings(max_examples=25)
     @given(p=st.sampled_from(SPLIT_PRIMES), v=st.integers(2, 10**6), steps=st.integers(1, 3))
@@ -328,11 +333,13 @@ class TestReferenceOracle:
         successors = {radical_step_5(b, f"index:{i}").b_next for i in range(5)}
         assert ref == sorted(successors, key=lambda e: e.coeffs)
 
-    @pytest.mark.parametrize("p,v", [(11, 4), (31, 3)])
+    @pytest.mark.parametrize("p,v", [(11, 4), (31, 3), (11, 2), (11, 3), (31, 7)])
     def test_reference_over_extension_matches_radical_steps(self, p, v):
         # b is no fifth power in F_p, so no rational codomain point is
         # distinguished and the oracle searches E2[5] over F_{p^5}; there
-        # the radical formula sees all five fifth roots of b
+        # the radical formula sees all five fifth roots of b.  At (11, 2)
+        # and (11, 3) the torsion basis over F_{11^5} once failed its Weil
+        # pairing check on a dependent pair
         b = make_field(p).el(v)
         assert not nth_roots(b, 5)
         ref = velu_reference_step(b)
