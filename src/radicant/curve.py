@@ -315,12 +315,6 @@ def base_change(E: WeierstrassCurve, ext: FieldCtx) -> WeierstrassCurve:
     return WeierstrassCurve(*(ext.embed(c) for c in (E.a1, E.a2, E.a3, E.a4, E.a6)))
 
 
-def lift_point(P: Point, ext: FieldCtx) -> Point:
-    if P.is_infinity:
-        return P
-    return Point(ext.embed(P.x), ext.embed(P.y))
-
-
 # ---------------------------------------------------------------------------
 # torsion points
 # ---------------------------------------------------------------------------
@@ -639,6 +633,23 @@ def to_tate_normal(E: WeierstrassCurve, P: Point, N: int):
     if not iso.apply(P) == Point(ctx.zero, ctx.zero):
         raise InvariantError("normal-form transform does not send P to (0, 0)")
     return TateParams(b, c, N), iso
+
+
+def normal_form_b(E: WeierstrassCurve) -> tuple:
+    """(num, den) with b = num(x(P)) / den(x(P)) for `to_tate_normal(E, P, N)`,
+    which the tests check it against.  On y^2 = f(x)/4, f = 4x^3 + b2 x^2 +
+    2 b4 x + b6, moving P to (0, 0) and shearing off its tangent leave a3^2 =
+    f and a2 = 3x + b2/4 - f'^2 / (16 f), and scaling to a2 = a3 gives
+    b = -a2^3 / a3^2 = -(f (3x + b2/4) - f'^2/16)^3 / f^4."""
+    ctx = E.ctx
+    b2, b4, b6, _ = E.b_invariants()
+    f = [b6, 2 * b4, b2, ctx.el(4)]
+    df = poly.derivative(f, ctx)
+    a2f = poly.sub(poly.mul(f, [b2 / 4, ctx.el(3)], ctx),
+                   [c / 16 for c in poly.mul(df, df, ctx)], ctx)
+    f_sq = poly.mul(f, f, ctx)
+    return ([-c for c in poly.mul(a2f, poly.mul(a2f, a2f, ctx), ctx)],
+            poly.mul(f_sq, f_sq, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ with psi the isogeny of such a divisor, is the dual exactly when
   (b) iso scales the invariant differential by u = N, as [N] does.
 (a) gives psi o phi = lambda o [N] for an isomorphism lambda, and (b) makes
 iso o lambda the automorphism with scale 1, the identity for p >= 5.  The
-check enumerates and samples no points, and no extension field is built.
+check enumerates and samples no points, and no extension field is built;
+nor does `distinguished_points`, which lists the rational points only.
 """
 
 from __future__ import annotations
@@ -34,16 +35,11 @@ from .curve import (
     Point,
     WeierstrassCurve,
     _points_for_x,
-    base_change,
     division_polynomial,
-    enumerate_points,
-    enum_bound,
-    full_torsion_degree,
     has_order,
     isomorphism_with_scale,
-    lift_point,
 )
-from .errors import RadicantError, TorsionUnavailable
+from .errors import RadicantError
 
 
 @dataclass(frozen=True)
@@ -136,20 +132,6 @@ def evaluate(phi: Isogeny, P: Point) -> Point:
     return image
 
 
-def _embedded(phi: Isogeny, ext) -> Isogeny:
-    """phi's curves and maps over ext, an extension of its prime base field,
-    with every coefficient embedded once (the kernel generator is left out)."""
-    if phi.domain.ctx == ext:
-        return phi
-    return Isogeny(
-        base_change(phi.domain, ext),
-        base_change(phi.codomain, ext),
-        phi.degree,
-        tuple(ext.embed(c) for c in phi.kernel_polynomial),
-        tuple(ext.embed(c) for c in phi.x_numerator),
-    )
-
-
 # ---------------------------------------------------------------------------
 # dual isogeny
 # ---------------------------------------------------------------------------
@@ -162,7 +144,7 @@ class DualIsogeny:
     quotient: Isogeny  # codomain -> codomain/phi(E[N])
     back_iso: CurveIso  # isomorphism from the quotient codomain onto E
     # the rational order-N points of forward.codomain, as dual_isogeny found
-    # them; distinguished_points reads them instead of solving psi_N again
+    # them; the distinguished points are read off them, not off psi_N again
     codomain_torsion: tuple = ()
 
     @property
@@ -175,15 +157,28 @@ class DualIsogeny:
         return self.back_iso.apply(evaluate(self.quotient, P))
 
 
+def composition_kernel_polynomial(phi: Isogeny, D_psi) -> list:
+    """The kernel polynomial of psi o phi, for psi's D_psi = sum c_i x^i of
+    degree d: D * sum c_i num^i D^(2(d-i)) where x o phi = num / D^2, monic
+    and vanishing once at each x(X), X in ker(psi o phi) - {O}."""
+    base = phi.domain.ctx
+    num, D = phi.x_numerator, phi.kernel_polynomial
+    D_sq = poly.mul(D, D, base)
+    # homogeneous Horner: acc_j = sum_{i >= j} c_i num^(i-j) (D^2)^(d-i)
+    acc, D_sq_pow = [D_psi[-1]], [base.one]
+    for c in reversed(D_psi[:-1]):
+        D_sq_pow = poly.mul(D_sq_pow, D_sq, base)
+        acc = poly.add(poly.mul(acc, num, base), [c * e for e in D_sq_pow], base)
+    return poly.trim(poly.mul(D, acc, base), base)
+
+
 def _verify_dual(cand: "DualIsogeny") -> bool:
     """Exact check that cand o phi = [N] as maps, for cand = iso o psi.
 
-    (a) Kernel identity.  With x o phi = num / D^2 and psi's kernel
-    polynomial D_psi = sum c_i x^i of degree d,
-        D * sum c_i num^i D^(2(d-i))
-    vanishes exactly on the x-coordinates of ker(psi o phi) - {O}, each once.
-    It is monic, so it equals monic(psi_N(E)) iff ker(psi o phi) = E[N],
-    and then psi o phi = lambda o [N] for an isomorphism lambda.
+    (a) Kernel identity.  The kernel polynomial of psi o phi
+    (`composition_kernel_polynomial`) equals monic(psi_N(E)) iff
+    ker(psi o phi) = E[N], and then psi o phi = lambda o [N] for an
+    isomorphism lambda.
     (b) Scale.  Normalized isogenies keep the invariant differential, [N]
     multiplies it by N, and iso multiplies it by its scale u.  So iso o
     lambda has scale u / N, and for p >= 5 the automorphism with scale 1 is
@@ -192,20 +187,11 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
     sampled.
     """
     phi = cand.forward
-    E = phi.domain
-    base = E.ctx
     if cand.back_iso.u != phi.degree:
         return False
-    D_psi = cand.quotient.kernel_polynomial
-    num, D = phi.x_numerator, phi.kernel_polynomial
-    D_sq = poly.mul(D, D, base)
-    # homogeneous Horner: acc_j = sum_{i >= j} c_i num^(i-j) (D^2)^(d-i)
-    acc, D_sq_pow = [D_psi[-1]], [base.one]
-    for c in reversed(D_psi[:-1]):
-        D_sq_pow = poly.mul(D_sq_pow, D_sq, base)
-        acc = poly.add(poly.mul(acc, num, base), [c * e for e in D_sq_pow], base)
-    kernel_poly = poly.trim(poly.mul(D, acc, base), base)
-    return kernel_poly == poly.monic(division_polynomial(E, phi.degree), base)
+    kernel_poly = composition_kernel_polynomial(phi, cand.quotient.kernel_polynomial)
+    return kernel_poly == poly.monic(division_polynomial(phi.domain, phi.degree),
+                                     phi.domain.ctx)
 
 
 def _dual_kernels(E2: WeierstrassCurve, N: int, psi, roots: list):
@@ -300,72 +286,9 @@ def is_distinguished(phi: Isogeny, P2: Point) -> bool:
 
 
 def distinguished_points(phi: Isogeny) -> list:
-    """All order-N points P' on the codomain with dual(P') = kernel generator.
-
-    Searches the rational points first; if none qualify the search widens to
-    the smallest extension containing the full N-torsion of the codomain.
-    """
-    N = phi.degree
-    E2 = phi.codomain
+    """The rational order-N points P' on the codomain with dual(P') = kernel
+    generator; points over an extension are not searched."""
     dual = cached_dual(phi)
     # the dual carries the rational order-N points of E2 it was built from
     out = [P2 for P2 in dual.codomain_torsion if dual(P2) == phi.kernel_generator]
-    if out:
-        return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
-    # no rational hits: realize the N-torsion of the codomain over an
-    # extension and test every order-N combination there, with the dual's
-    # maps and isomorphism embedded once
-    d, ext, (Q1, Q2) = full_torsion_degree(E2, N)
-    target = lift_point(phi.kernel_generator, ext)
-    quotient = _embedded(dual.quotient, ext)
-    E2e = quotient.domain
-    iso = dual.back_iso
-    back_iso = CurveIso(*(ext.embed(c) for c in (iso.u, iso.r, iso.s, iso.t)),
-                        quotient.codomain, base_change(iso.codomain, ext))
-    found = []
-    for i in range(N):
-        for j in range(N):
-            if i == 0 and j == 0:
-                continue
-            P2 = E2e.add(E2e.mul(i, Q1), E2e.mul(j, Q2))
-            if not has_order(E2e, P2, N):
-                continue
-            if back_iso.apply(evaluate(quotient, P2)) == target:
-                found.append(P2)
-    return sorted(found, key=lambda P: (P.x.coeffs, P.y.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# composition kernels
-# ---------------------------------------------------------------------------
-
-def composition_kernel(phi: Isogeny, psi: Isogeny, max_degree: int = 3) -> list:
-    """All points of ker(psi o phi), searched over growing extensions.
-
-    The composition is separable of degree deg(phi) * deg(psi), so the search
-    stops as soon as that many points (including O) are found.
-    """
-    from .field import make_field
-
-    E = phi.domain
-    expected = phi.degree * psi.degree
-    for d in range(1, max_degree + 1):
-        ext = E.ctx if d == 1 else make_field(E.ctx.p, d)
-        if ext.q > enum_bound():
-            break
-        phi_e, psi_e = _embedded(phi, ext), _embedded(psi, ext)
-        kernel = [P for P in enumerate_points(phi_e.domain)
-                  if evaluate(psi_e, evaluate(phi_e, P)).is_infinity]
-        if len(kernel) == expected:
-            return kernel
-    raise TorsionUnavailable(
-        "composition kernel not rational within the extension bound"
-    )
-
-
-def kernel_is_cyclic(kernel: list, E: WeierstrassCurve, order: int) -> bool:
-    """True when some kernel point has the full composite order."""
-    return any(
-        not P.is_infinity and has_order(E, P, order)
-        for P in kernel
-    )
+    return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))

@@ -5,8 +5,8 @@ through the Frobenius norm and has no polynomial code of its own.  Hosts the
 one Rabin irreducibility test, used over any F_{p^k}; make_field bootstraps
 through it over the prime field F_p.  `factors` finds the irreducible factors
 of small degree by distinct-degree and Cantor-Zassenhaus equal-degree
-splitting; `roots` is its degree-1 case.  Polynomials are lists, constant
-term first.
+splitting; `roots` is its degree-1 case.  `charpoly` gives characteristic
+polynomials in F_q[x]/(m).  Polynomials are lists, constant term first.
 """
 
 from __future__ import annotations
@@ -98,6 +98,38 @@ def gcd(f, g, ctx):
     if f != [ctx.zero]:
         f = monic(f, ctx)
     return f
+
+
+def charpoly(num, den, m, ctx):
+    """prod (Y - num(x_i)/den(x_i)) over the roots x_i of the monic m of
+    degree n, with multiplicity: the characteristic polynomial of num/den in
+    F_q[x]/(m), for p > n.  Newton's identities, k c_{n-k} + sum_{0<i<k}
+    c_{n-i} s_{k-i} = 0 for monic c with power sums s, run forward on m for
+    the traces of x^j and backward from the traces of (num/den)^k.
+    """
+    n = len(m) - 1
+    if ctx.p <= n:
+        raise ValueError(f"characteristic {ctx.p} does not exceed the degree {n}")
+    r0, r1, s0, s1 = m, divmod_(den, m, ctx)[1], [ctx.zero], [ctx.one]
+    while r1 != [ctx.zero]:  # invariant: s_i den = r_i modulo m
+        quo, rem = divmod_(r0, r1, ctx)
+        r0, r1, s0, s1 = r1, rem, s1, sub(s0, mul(quo, s1, ctx), ctx)
+    if len(r0) > 1:
+        raise ZeroDivisionError("the denominator is no unit modulo m")
+    h = divmod_(mul(num, [c / r0[0] for c in s0], ctx), m, ctx)[1]
+
+    def newton(c, s, k):
+        return sum((c[n - i] * s[k - i] for i in range(1, k)), ctx.zero)
+
+    s, t, power, c = [ctx.el(n)], [None], [ctx.one], [ctx.zero] * n + [ctx.one]
+    for k in range(1, n):
+        s.append(-(k * m[n - k] + newton(m, s, k)))
+    for _ in range(n):
+        power = divmod_(mul(power, h, ctx), m, ctx)[1]
+        t.append(sum((a * b for a, b in zip(power, s)), ctx.zero))
+    for k in range(1, n + 1):
+        c[n - k] = -(t[k] + newton(c, t, k)) / k
+    return c
 
 
 def from_roots(roots, ctx):

@@ -2,9 +2,10 @@
 
 A radical step turns the normal-form parameter b into its successor b'
 through a fifth root of the radicand, with no torsion-point sampling.  The
-reference oracle recomputes the set of legal successors from first
-principles (quotient isogeny, dual, distinguished points) and is what the
-closed-form step is tested against.
+reference oracle recomputes the legal successors from first principles
+(quotient isogeny, dual, distinguished points): `successor_polynomial(b)`,
+whose roots are the five successors (the fibre over b on X_1(5)), is tested
+against the step's own `radical_successor_polynomial(b)`.
 """
 
 from __future__ import annotations
@@ -12,16 +13,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import poly
 from .curve import (
     Point,
-    base_change,
     degree5_curve,
+    normal_form_b,
     normal_form_discriminant,
     to_tate_normal,
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
-from .isogeny import distinguished_points, velu
+from .isogeny import cached_dual, velu
+
+# b' = alpha num(alpha) / den(alpha) for a fifth root alpha of b, constant first
+_STEP_NUM = (1, 2, 4, 3, 1)
+_STEP_DEN = (1, -3, 4, -2, 1)
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,9 @@ def _pick_root(roots: list, policy: str) -> tuple:
 
 def step_from_root(b: FieldElement, alpha: FieldElement, root_index: int = 0) -> RadicalStep:
     """Evaluate the closed-form successor parameter at a chosen root."""
-    num = (((alpha + 3) * alpha + 4) * alpha + 2) * alpha + 1
-    den = (((alpha - 2) * alpha + 4) * alpha - 3) * alpha + 1
+    c, d = _STEP_NUM, _STEP_DEN
+    num = (((alpha + c[3]) * alpha + c[2]) * alpha + c[1]) * alpha + c[0]
+    den = (((alpha + d[3]) * alpha + d[2]) * alpha + d[1]) * alpha + d[0]
     if den.is_zero():
         raise DegenerateStep("pole of the step expression", alpha=alpha)
     b_next = alpha * num / den
@@ -155,23 +162,53 @@ def radical_chain(b0: FieldElement, steps: int, policy: str = "canonical") -> Ch
     return ChainResult(tuple(values), b0.ctx, policy)
 
 
-def velu_reference_step(b: FieldElement) -> list:
-    """All legal successor parameters, computed without radical formulas.
-
-    Quotients by the marked order-5 subgroup, finds every distinguished
-    point on the other side, and reads off the normal-form parameter of
-    each resulting pair.  Sorted canonically.
-    """
+def _marked_preimages(b: FieldElement):
+    """(dual, g, (num, den)) for E_b -> E_b/<(0, 0)>: the monic quintic g has
+    the roots x(X) with dual(X) = +-(0, 0), where num(x)/den(x) is X's b."""
     _check_params(b)
-    E = degree5_curve(b)
-    P = Point(b.ctx.zero, b.ctx.zero)
-    phi = velu(E, P)
-    out = []
-    for P2 in distinguished_points(phi):
-        tp, _ = to_tate_normal(phi.codomain if P2.x.ctx == b.ctx
-                               else base_change(phi.codomain, P2.x.ctx), P2, 5)
-        out.append(tp.b)
-    return sorted(set(out), key=lambda e: e.coeffs)
+    ctx = b.ctx
+    phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
+    dual = cached_dual(phi)
+    # dual = iso o psi, x o psi = num_psi / D^2, iso: x -> (x - r) / u^2
+    iso, D = dual.back_iso, dual.quotient.kernel_polynomial
+    g = poly.sub(dual.quotient.x_numerator, [iso.r * e for e in poly.mul(D, D, ctx)], ctx)
+    return dual, g, normal_form_b(phi.codomain)
+
+
+def successor_polynomial(b: FieldElement) -> list:
+    """S_b(Y) = prod (Y - b') over the five successors b' of b, with
+    multiplicity, over the base field: the characteristic polynomial of
+    b'(x) modulo g, as the distinguished points and their negatives give
+    the same b'."""
+    _, g, (num, den) = _marked_preimages(b)
+    return poly.charpoly(num, den, g, b.ctx)
+
+
+def radical_successor_polynomial(b: FieldElement) -> list:
+    """S_b(Y) as the characteristic polynomial of the step alpha num / den in
+    F_q[alpha]/(alpha^5 - b).  den is a unit there: its resultant with
+    alpha^5 - b is (b^2 - 11b - 1)^2, nonzero for every valid b."""
+    _check_params(b)
+    ctx = b.ctx
+    num = [ctx.el(c) for c in (0,) + _STEP_NUM]  # alpha num(alpha)
+    den = [ctx.el(c) for c in _STEP_DEN]
+    return poly.charpoly(num, den, [-b] + [ctx.zero] * 4 + [ctx.one], ctx)
+
+
+def velu_reference_step(b: FieldElement) -> list:
+    """The rational successors of b, sorted, without radical formulas: b'(x)
+    at the rational roots of g.  Frobenius fixes dual^-1((0, 0)), so each such
+    root carries a rational point, and the roots are read off the dual's
+    rational 5-torsion: psi_5 is factored once.  Successors over an extension
+    are left out ([] where b is no fifth power), as are conjugate ones over
+    F_{q^2} that an automorphism merges into a rational double root of S_b
+    where j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4: S_b has the roots 4
+    and 18 twice; this list is [4]).  `successor_polynomial` has all five."""
+    dual, g, (num, den) = _marked_preimages(b)
+    xs = {P2.x for P2 in dual.codomain_torsion
+          if poly.value_and_derivative(g, P2.x)[0].is_zero()}
+    return sorted({poly.value_and_derivative(num, x)[0] / poly.value_and_derivative(den, x)[0]
+                   for x in xs}, key=lambda e: e.coeffs)
 
 
 def radical_poly_irreducible(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:
@@ -192,8 +229,6 @@ def radical_poly_irreducible(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:
 
 def radical_poly_irreducible_oracle(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:
     """Independent route: run the generic irreducibility test on x^n - rho."""
-    from . import poly
-
     f = [-rho] + [ctx.zero] * (n - 1) + [ctx.one]
     return poly.is_irreducible(f, ctx)
 
@@ -233,7 +268,6 @@ def velu_chain(b0: FieldElement, steps: int) -> ChainResult:
 def _sampled_distinguished(phi) -> list:
     """Rational distinguished points, found by sampling rather than scanning."""
     from .curve import _rng_for, _sylow_reduce, group_order, random_point
-    from .isogeny import cached_dual
 
     E2 = phi.codomain
     n = group_order(phi.domain)  # isogenous curves have equal counts

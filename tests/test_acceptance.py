@@ -8,21 +8,17 @@ import time
 import pytest
 
 from radicant import curve as curve_mod
-from radicant import modgroup, verify
+from radicant import modgroup, poly, verify
 from radicant.curve import (
     Point,
     degree5_curve,
+    division_polynomial,
     normal_form_discriminant,
     point_order,
     rational_point_of_order,
 )
 from radicant.field import make_field, nth_roots
-from radicant.isogeny import (
-    composition_kernel,
-    is_distinguished,
-    kernel_is_cyclic,
-    velu,
-)
+from radicant.isogeny import composition_kernel_polynomial, is_distinguished, velu
 from radicant.moduli import (
     MarkedPoint,
     axis_subgroup_normality,
@@ -128,9 +124,13 @@ def test_a4_composition_cyclicity():
             R = rational_point_of_order(E, 25, above=P)
             mp2, phi = proj_quotient(MarkedPoint(E, R, 25), 5)
             psi = velu(phi.codomain, mp2.point)
-            kernel = composition_kernel(phi, psi)
-            assert len(kernel) == 25
-            assert kernel_is_cyclic(kernel, E, 25)
+            # ker(psi o phi) is <R>, cyclic of order 25, and not E[5]
+            cyclic = E.subgroup(R)
+            assert len(cyclic) == 25
+            kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
+            xs = {Q.x.coeffs: Q.x for Q in cyclic[1:]}
+            assert kernel_poly == poly.from_roots(xs.values(), F)
+            assert kernel_poly != poly.monic(division_polynomial(E, 5), F)
 
 
 def test_a5_group_counts_and_indices():

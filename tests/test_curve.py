@@ -22,6 +22,7 @@ from radicant.curve import (
     has_order,
     identity_iso,
     isomorphisms,
+    normal_form_b,
     normal_form_discriminant,
     point_order,
     points_of_order,
@@ -230,6 +231,14 @@ class TestEnumeration:
         assert order_over_extension(E, 2) == group_order(base_change(E, ext))
 
 
+def num_at(f, x):
+    """f(x) for a polynomial f, constant term first."""
+    value = x.ctx.zero
+    for c in reversed(f):
+        value = value * x + c
+    return value
+
+
 def random_curves(F, count, rng):
     """`count` nonsingular curves with all five a-invariants drawn."""
     out = []
@@ -369,6 +378,24 @@ class TestNormalForm:
                 assert WeierstrassCurve(1 - c, -b, -b, F.zero, F.zero).discriminant() == delta
         if draws is None:
             assert vanishing > 0  # the exhaustive F_13 sweep meets singular (b, c)
+
+    @pytest.mark.parametrize("p,k", [(13, 1), (31, 1), (7, 2), (11, 2)])
+    def test_closed_form_b_matches_to_tate_normal(self, p, k):
+        # b as a function of x(P) against the three-stage transform, at
+        # every point of order 4..13 on curves with all five a-invariants
+        F = make_field(p, k)
+        checked = 0
+        for E in random_curves(F, 12, random.Random(10 * p + k)):
+            num, den = normal_form_b(E)
+            for P in enumerate_points(E)[1:]:
+                Q, N = P, 1  # Q = [N]P, up to N = 14
+                while not Q.is_infinity and N < 14:
+                    Q, N = E.add(Q, P), N + 1
+                if Q.is_infinity and N >= 4:
+                    b = num_at(num, P.x) / num_at(den, P.x)
+                    assert b == to_tate_normal(E, P, N)[0].b, (E, P)
+                    checked += 1
+        assert checked > 50
 
     def test_degenerate_params_rejected(self, F11):
         assert normal_form_discriminant(F11.one, F11.one).is_zero()

@@ -15,7 +15,6 @@ from radicant.curve import (
     division_polynomial,
     enumerate_points,
     isomorphisms,
-    lift_point,
     normal_form_discriminant,
     order_over_extension,
     point_order,
@@ -25,16 +24,15 @@ from radicant.curve import (
 from radicant.field import make_field
 from radicant.isogeny import (
     DualIsogeny,
+    Isogeny,
     _dual_kernels,
-    _embedded,
     _verify_dual,
-    composition_kernel,
+    composition_kernel_polynomial,
     dual_isogeny,
     distinguished_points,
     evaluate,
     from_kernel_polynomial,
     is_distinguished,
-    kernel_is_cyclic,
     velu,
 )
 from radicant.radical import velu_reference_step
@@ -220,7 +218,6 @@ class TestDual:
 
         monkeypatch.setattr(field, "make_field", refuse)
         monkeypatch.setattr(curve, "base_change", refuse)
-        monkeypatch.setattr(isogeny, "base_change", refuse)
         checked = {13 ** 2: 0}
         for b in instances:
             if b.is_zero() or normal_form_discriminant(b, b).is_zero():
@@ -245,6 +242,15 @@ class TestDual:
             if dual(P) == O
         ]
         assert len(killed) == 5
+
+
+def _embedded(phi, W):
+    """phi's curves and maps over W, an extension of its prime base field."""
+    if phi.domain.ctx == W:
+        return phi
+    return Isogeny(base_change(phi.domain, W), base_change(phi.codomain, W), phi.degree,
+                   tuple(W.embed(c) for c in phi.kernel_polynomial),
+                   tuple(W.embed(c) for c in phi.x_numerator))
 
 
 class BruteForce:
@@ -397,7 +403,20 @@ class TestDistinguished:
             is_distinguished(phi, O)
 
 
+def kernel_by_enumeration(phi, psi):
+    """ker(psi o phi) by evaluating both maps on every rational point."""
+    return [X for X in enumerate_points(phi.domain) if psi(phi(X)).is_infinity]
+
+
+def x_polynomial(points, ctx):
+    """The monic polynomial with the distinct x-coordinates of the finite points."""
+    return poly.from_roots({X.x.coeffs: X.x for X in points if not X.is_infinity}.values(),
+                           ctx)
+
+
 class TestCompositionKernel:
+    # the kernel polynomial of psi o phi of degree 25 is that of a cyclic
+    # group exactly when it is not monic(psi_5(E)), the one of E[5]
     def test_kernel_of_distinguished_composition_is_cyclic(self):
         F = make_field(101)
         E = degree5_curve(F.el(6))
@@ -405,11 +424,11 @@ class TestCompositionKernel:
         R = rational_point_of_order(E, 25, above=P)
         phi = velu(E, P)
         psi = velu(phi.codomain, evaluate(phi, R))
-        kernel = composition_kernel(phi, psi)
-        assert len(kernel) == 25
-        assert kernel_is_cyclic(kernel, E, 25)
-        # and it is exactly the cyclic group generated by R
-        assert set(kernel) == set(E.subgroup(R))
+        kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
+        # it is exactly the polynomial of the cyclic group generated by R
+        assert len(E.subgroup(R)) == 25
+        assert kernel_poly == x_polynomial(E.subgroup(R), F)
+        assert kernel_poly != poly.monic(division_polynomial(E, 5), F)
 
     def test_every_distinguished_point_gives_cyclic_composition(self):
         # an instance with fully rational structure (order-25 point over the
@@ -422,9 +441,12 @@ class TestCompositionKernel:
         assert len(ds) == 5
         for P2 in ds:
             psi = velu(phi.codomain, P2)
-            kernel = composition_kernel(phi, psi)
+            kernel = kernel_by_enumeration(phi, psi)
             assert len(kernel) == 25
-            assert kernel_is_cyclic(kernel, E, 25)
+            assert any(point_order(E, X, 25) == 25 for X in kernel)
+            kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
+            assert kernel_poly == x_polynomial(kernel, F)
+            assert kernel_poly != poly.monic(division_polynomial(E, 5), F)
 
     def test_dual_composition_kernel_is_not_cyclic(self):
         # composing with the dual gives multiplication by 5, whose kernel is
@@ -433,8 +455,10 @@ class TestCompositionKernel:
         F = make_field(31)
         E = degree5_curve(F.el(11))
         phi = velu(E, marked(F))
-        dual = dual_isogeny(phi)
-        psi = dual.quotient
-        kernel = composition_kernel(phi, psi)
+        psi = dual_isogeny(phi).quotient
+        kernel = kernel_by_enumeration(phi, psi)
         assert len(kernel) == 25
-        assert not kernel_is_cyclic(kernel, E, 25)
+        assert not any(point_order(E, X, 25) == 25 for X in kernel)
+        kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
+        assert kernel_poly == x_polynomial(kernel, F)
+        assert kernel_poly == poly.monic(division_polynomial(E, 5), F)

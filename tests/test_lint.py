@@ -1,10 +1,12 @@
 """Source checks that hold for the whole library."""
 
 import ast
+import importlib
 import pathlib
 import re
 
 import radicant
+from radicant.isogeny import DualIsogeny
 
 SOURCES = sorted(pathlib.Path(radicant.__file__).parent.glob("*.py"))
 
@@ -68,3 +70,19 @@ def test_no_unused_imports():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"imports never used: {unused}"
+
+
+def test_names_the_benchmark_tracer_reads_exist():
+    # perfbench/tracer.py looks up each TRACED (module, name) with getattr
+    # and reads DualIsogeny.ext_ctx, so a missing one crashes a traced run
+    tracer = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(), str(tracer)).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    missing = [f"{module}.{name}" for module, name in traced
+               if not hasattr(importlib.import_module(f"radicant.{module}"), name)]
+    assert traced and not missing, f"names the tracer reads are gone: {missing}"
+    assert hasattr(DualIsogeny, "ext_ctx")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radicant import curve, radical
+from radicant import curve, field, pairing, poly, radical
 from radicant.curve import (
     Point,
     degree5_curve,
@@ -23,7 +23,9 @@ from radicant.radical import (
     radical_poly_irreducible,
     radical_poly_irreducible_oracle,
     radical_step_5,
+    radical_successor_polynomial,
     step_from_root,
+    successor_polynomial,
     velu_chain,
     velu_reference_step,
 )
@@ -335,22 +337,84 @@ class TestReferenceOracle:
 
     @pytest.mark.parametrize("p,v", [(11, 4), (31, 3), (11, 2), (11, 3), (31, 7)])
     def test_reference_over_extension_matches_radical_steps(self, p, v):
-        # b is no fifth power in F_p, so no rational codomain point is
-        # distinguished and the oracle searches E2[5] over F_{p^5}; there
-        # the radical formula sees all five fifth roots of b.  At (11, 2)
-        # and (11, 3) the torsion basis over F_{11^5} once failed its Weil
-        # pairing check on a dependent pair
-        b = make_field(p).el(v)
+        # b is no fifth power in F_p, so b has no rational successor and the
+        # reference lists none.  S_b still has all five: over F_{p^5} the
+        # radical formula sees every fifth root of b, and S_b splits into
+        # their successors, with multiplicity
+        F = make_field(p)
+        b = F.el(v)
         assert not nth_roots(b, 5)
-        ref = velu_reference_step(b)
-        ext = ref[0].ctx
-        assert ext.k == 5
-        successors = {radical_step_5(ext.embed(b), f"index:{i}").b_next for i in range(5)}
-        assert ref == sorted(successors, key=lambda e: e.coeffs)
+        assert velu_reference_step(b) == []
+        S = successor_polynomial(b)
+        assert S == radical_successor_polynomial(b)
+        ext = make_field(p, 5)
+        successors = [radical_step_5(ext.embed(b), f"index:{i}").b_next for i in range(5)]
+        assert [ext.embed(c) for c in S] == poly.from_roots(successors, ext)
 
     def test_velu_chain_rejects_mod5_fields(self, F31):
         with pytest.raises(ValueError):
             velu_chain(F31.el(2), 1)
+
+
+def _valid(b):
+    return not b.is_zero() and not normal_form_discriminant(b, b).is_zero()
+
+
+class TestSuccessorPolynomial:
+    def test_builds_no_extension_field(self, monkeypatch):
+        # both sides of S_b and the reference step stay over the base field:
+        # no field is built, no point drawn and no Weil pairing run
+        rng = random.Random(11)
+        instances = [F.el(v) for F in map(make_field, (11, 19, 29, 31, 41))
+                     for v in range(1, F.p)]
+        for p in (11, 19):
+            F = make_field(p, 2)
+            instances += rng.sample([b for b in F.elements() if _valid(b)], 20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle left the base field")
+
+        for module, name in ((field, "make_field"), (curve, "random_point"),
+                             (curve, "full_torsion_degree"), (curve, "torsion_basis"),
+                             (pairing, "weil")):
+            monkeypatch.setattr(module, name, refuse)
+        checked = 0
+        for b in filter(_valid, instances):
+            assert successor_polynomial(b) == radical_successor_polynomial(b), b
+            roots = nth_roots(b, 5)
+            successors = {radical_step_5(b, f"index:{i}").b_next for i in range(len(roots))}
+            assert velu_reference_step(b) == sorted(successors, key=lambda e: e.coeffs), b
+            checked += 1
+        assert checked == 8 + 16 + 26 + 28 + 38 + 40
+
+    @pytest.mark.parametrize("p,v,j,roots,reference", [
+        (19, 4, 1728, {4: 1, 18: 2}, 4),
+        (29, 6, 0, {23: 1, 15: 2, 5: 2}, 23),
+    ], ids=["19-4", "29-6"])
+    def test_rational_roots_beyond_the_reference_at_j_0_and_1728(self, p, v, j, roots,
+                                                                 reference):
+        # E2 = E_b/<(0,0)> has j = 0 or 1728.  Its extra automorphisms
+        # identify the successors of a conjugate pair of fifth roots over
+        # F_{p^2}, which S_b then shows as a rational double root.  Those
+        # successors carry no rational distinguished point, so the reference
+        # lists only the unique step
+        F = make_field(p)
+        b = F.el(v)
+        phi = velu(degree5_curve(b), Point(F.zero, F.zero))
+        assert phi.codomain.j_invariant() == F.el(j)
+        S = successor_polynomial(b)
+        assert S == radical_successor_polynomial(b)
+        multiplicity = {}
+        for r in poly.roots(S, F):
+            rest = S
+            while poly.divmod_(rest, [-r, F.one], F)[1] == [F.zero]:
+                rest = poly.divmod_(rest, [-r, F.one], F)[0]
+                multiplicity[r.to_int()] = multiplicity.get(r.to_int(), 0) + 1
+        assert multiplicity == roots
+        assert velu_reference_step(b) == [radical_step_5(b, "unique").b_next] == [F.el(reference)]
+        ext = make_field(p, 2)
+        successors = [radical_step_5(ext.embed(b), f"index:{i}").b_next for i in range(5)]
+        assert [ext.embed(c) for c in S] == poly.from_roots(successors, ext)
 
 
 class TestIrreducibility:
