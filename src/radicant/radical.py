@@ -23,7 +23,7 @@ from .curve import (
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
-from .isogeny import cached_dual, velu
+from .isogeny import cached_dual, distinguished_points, velu
 
 # b' = alpha num(alpha) / den(alpha) for a fifth root alpha of b, constant first
 _STEP_NUM = (1, 2, 4, 3, 1)
@@ -162,26 +162,21 @@ def radical_chain(b0: FieldElement, steps: int, policy: str = "canonical") -> Ch
     return ChainResult(tuple(values), b0.ctx, policy)
 
 
-def _marked_preimages(b: FieldElement):
-    """(dual, g, (num, den)) for E_b -> E_b/<(0, 0)>: the monic quintic g has
-    the roots x(X) with dual(X) = +-(0, 0), where num(x)/den(x) is X's b."""
-    _check_params(b)
-    ctx = b.ctx
-    phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
-    dual = cached_dual(phi)
-    # dual = iso o psi, x o psi = num_psi / D^2, iso: x -> (x - r) / u^2
-    iso, D = dual.back_iso, dual.quotient.kernel_polynomial
-    g = poly.sub(dual.quotient.x_numerator, [iso.r * e for e in poly.mul(D, D, ctx)], ctx)
-    return dual, g, normal_form_b(phi.codomain)
-
-
 def successor_polynomial(b: FieldElement) -> list:
     """S_b(Y) = prod (Y - b') over the five successors b' of b, with
     multiplicity, over the base field: the characteristic polynomial of
     b'(x) modulo g, as the distinguished points and their negatives give
     the same b'."""
-    _, g, (num, den) = _marked_preimages(b)
-    return poly.charpoly(num, den, g, b.ctx)
+    _check_params(b)
+    ctx = b.ctx
+    phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
+    dual = cached_dual(phi)
+    # dual = iso o psi, x o psi = num_psi / D^2, iso: x -> (x - r) / u^2, so the
+    # monic quintic g has the roots x(X) with dual(X) = +-(0, 0)
+    iso, D = dual.back_iso, dual.quotient.kernel_polynomial
+    g = poly.sub(dual.quotient.x_numerator, [iso.r * e for e in poly.mul(D, D, ctx)], ctx)
+    num, den = normal_form_b(phi.codomain)
+    return poly.charpoly(num, den, g, ctx)
 
 
 def radical_successor_polynomial(b: FieldElement) -> list:
@@ -197,18 +192,20 @@ def radical_successor_polynomial(b: FieldElement) -> list:
 
 def velu_reference_step(b: FieldElement) -> list:
     """The rational successors of b, sorted, without radical formulas: b'(x)
-    at the rational roots of g.  Frobenius fixes dual^-1((0, 0)), so each such
-    root carries a rational point, and the roots are read off the dual's
-    rational 5-torsion: psi_5 is factored once.  Successors over an extension
-    are left out ([] where b is no fifth power), as are conjugate ones over
-    F_{q^2} that an automorphism merges into a rational double root of S_b
-    where j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4: S_b has the roots 4
-    and 18 twice; this list is [4]).  `successor_polynomial` has all five."""
-    dual, g, (num, den) = _marked_preimages(b)
-    xs = {P2.x for P2 in dual.codomain_torsion
-          if poly.value_and_derivative(g, P2.x)[0].is_zero()}
-    return sorted({poly.value_and_derivative(num, x)[0] / poly.value_and_derivative(den, x)[0]
-                   for x in xs}, key=lambda e: e.coeffs)
+    at the rational distinguished points, which the dual's rational
+    5-torsion holds, so psi_5 is factored once.  Their x-coordinates are
+    the rational roots of the g of `successor_polynomial`.  Successors over
+    an extension are left out ([] where b is no fifth power), as are
+    conjugate ones over F_{q^2} that an automorphism merges into a rational
+    double root of S_b where j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4:
+    S_b has the roots 4 and 18 twice; this list is [4]).
+    `successor_polynomial` has all five."""
+    _check_params(b)
+    ctx = b.ctx
+    phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
+    num, den = normal_form_b(phi.codomain)
+    return sorted({poly.value_and_derivative(num, P.x)[0] / poly.value_and_derivative(den, P.x)[0]
+                   for P in distinguished_points(phi)}, key=lambda e: e.coeffs)
 
 
 def radical_poly_irreducible(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:

@@ -634,9 +634,13 @@ def run_moduli(
             ec = MarkedPoint(E, R, 25)
             mp2, phi = proj_quotient(ec, 5)
             psi = velu(phi.codomain, mp2.point)
-            # ker(psi o phi) has order 25: it is cyclic unless it is E[5]
+            # ker(psi o phi) has order 25: it is cyclic unless it is E[5],
+            # and a monic kernel polynomial of degree 12 vanishing at x(R)
+            # shows it holds R, of order 25
             kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
-            if kernel_poly != poly.monic(division_polynomial(E, 5), F):
+            if (len(kernel_poly) == 13 and kernel_poly[-1] == F.one
+                    and poly.value_and_derivative(kernel_poly, R.x)[0].is_zero()
+                    and kernel_poly != poly.monic(division_polynomial(E, 5), F)):
                 ok += 1
         return ok
 
