@@ -14,38 +14,16 @@ Usage:
 import argparse
 import json
 
-from radicant.curve import (
-    Point,
-    degree5_curve,
-    group_order,
-    normal_form_discriminant,
-    points_of_order,
-    rational_point_of_order,
-)
-from radicant.field import make_field
+from radicant.curve import group_order
+from radicant.verify import torsion_instances
 
 
 def scan(primes, full_basis):
-    out = []
-    for p in primes:
-        F = make_field(p)
-        for bi in range(1, p):
-            b = F.el(bi)
-            if normal_form_discriminant(b, b).is_zero():
-                continue
-            E = degree5_curve(b)
-            n = group_order(E)
-            if n % 25 != 0:
-                continue
-            R = rational_point_of_order(E, 25, above=Point(F.zero, F.zero))
-            if R is None:
-                continue
-            if full_basis and len(points_of_order(E, 5)) != 24:
-                continue
-            out.append(
-                {"p": p, "b": bi, "group_order": n, "R": [R.x.to_int(), R.y.to_int()]}
-            )
-    return out
+    return [
+        {"p": b.ctx.p, "b": b.to_int(), "group_order": group_order(E),
+         "R": [R.x.to_int(), R.y.to_int()]}
+        for b, E, R in torsion_instances(primes, full_basis)
+    ]
 
 
 def main():

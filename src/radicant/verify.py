@@ -1,13 +1,19 @@
 """Claim registry: every finite-level statement the tool checks, as data.
 
 Each claim runs an honest computation and records expected vs computed
-values in a Report row.  The CLI serializes the rows; the acceptance test
-suite asserts them.  Claims are grouped into scopes: groups, pairing,
-radical, moduli.
+values in a Report row.  A claim with more than a one-line computation is
+a module-level function of explicit inputs: sampled claims draw from the
+`random.Random` they are given, and `run_<scope>(seed)` passes one
+`Random(seed)` through its claims in a fixed order.  The CLI serializes
+the rows.  The acceptance tests assert them: A1-A3 call their sampled
+claims at seeds 1-3, and the other criteria read the rows of
+`verify --scope all` at seed 0.  Claims are grouped into scopes: groups,
+pairing, radical, moduli.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -19,7 +25,6 @@ from .curve import (
     Point,
     TateParams,
     degree5_curve,
-    division_polynomial,
     enumerate_points,
     group_order,
     has_order,
@@ -132,70 +137,76 @@ def _random_instance(rng: random.Random, primes, fifth_power: bool = False):
     raise RadicantError("no usable (p, b) instance found")
 
 
-_MARKED25_CACHE: list = []
-
-
-def marked_25_instances(count: int) -> list:
-    """(p, b) pairs whose curve has a rational point of order 25 over the
-    marked 5-point; searched over the p = 1 mod 25 pool, cached."""
-    global _MARKED25_CACHE
-    if len(_MARKED25_CACHE) >= count:
-        return _MARKED25_CACHE[:count]
-    found = []
-    for p in PRIMES_1_MOD_25:
+def torsion_instances(primes: Iterable[int], full_basis: bool = False):
+    """Yield (b, E_b, R), in order of p in `primes` and then of b, for the
+    valid b over F_p whose curve has a rational point of order 25 over the
+    marked point (0, 0); R is the first one enumerated.  With
+    `full_basis`, only curves whose 5-torsion is fully rational as well."""
+    for p in primes:
         F = make_field(p)
         for bi in range(1, p):
             b = F.el(bi)
             if normal_form_discriminant(b, b).is_zero():
                 continue
             E = degree5_curve(b)
-            if group_order(E) % 25 != 0:
+            # E[5] and <R> together span a group of order 125
+            if group_order(E) % (125 if full_basis else 25) != 0:
                 continue
-            P = Point(F.zero, F.zero)
-            R = rational_point_of_order(E, 25, above=P)
-            if R is not None:
-                found.append((p, bi))
-                if len(found) >= count:
-                    _MARKED25_CACHE = found
-                    return found
-    _MARKED25_CACHE = found
-    return found
-
-
-def action_basis_instance():
-    """(p, b) with both a rational order-25 point over the marked point and
-    a fully rational 5-torsion (needed by the group-action checks)."""
-    for p in (251, 401, 601):
-        F = make_field(p)
-        for bi in range(1, p):
-            b = F.el(bi)
-            if normal_form_discriminant(b, b).is_zero():
-                continue
-            E = degree5_curve(b)
-            if group_order(E) % 125 != 0:
-                continue
-            P = Point(F.zero, F.zero)
-            R = rational_point_of_order(E, 25, above=P)
+            R = rational_point_of_order(E, 25, above=Point(F.zero, F.zero))
             if R is None:
                 continue
-            if len(points_of_order(E, 5)) == 25 - 1:
-                return p, bi
-    raise RadicantError("no action-basis instance found")
+            if full_basis and len(points_of_order(E, 5)) != 25 - 1:
+                continue
+            yield b, E, R
 
 
 # ---------------------------------------------------------------------------
 # groups scope
 # ---------------------------------------------------------------------------
 
-def run_groups(n_values: Iterable[int] = (4, 5, 6, 7), seed: int = 0) -> list:
-    reports = []
-    reports.append(
-        _timed("sl2-order-2-exhaustive", {"M": 2}, 6, lambda: modgroup.sl2_count(2))
-    )
-    reports.append(
-        _timed("sl2-order-5-exhaustive", {"M": 5}, 120, lambda: modgroup.sl2_count(5))
-    )
-    reports.append(
+def rescaled_level(N: int) -> list:
+    """At M = N^2: the rescaled group has order N^3, Gamma1(M) is normal in
+    it, and the indices of Gamma(M) < Gamma1(M) < rescaled multiply."""
+    M = N * N
+    rescaled = modgroup.SubgroupSpec("gamma1_rescaled", N, M)
+    g1_n2 = modgroup.SubgroupSpec("gamma1", M, M)
+    gamma_n2 = modgroup.SubgroupSpec("gamma", M, M)
+    return [
+        _timed("rescaled-subgroup-order", {"N": N}, N**3,
+               lambda: modgroup.subgroup_order(rescaled)),
+        _timed("gamma1-n2-normal-in-rescaled", {"N": N}, True,
+               lambda: modgroup.is_normal(g1_n2, rescaled).normal),
+        _timed("index-multiplicativity", {"N": N}, True,
+               lambda: modgroup.index(gamma_n2, rescaled)
+               == modgroup.index(g1_n2, rescaled) * modgroup.index(gamma_n2, g1_n2)),
+    ]
+
+
+def conjugation_closed_form() -> Report:
+    """t^-1 u t for every unipotent u of SL2(Z/25) matches the closed form
+    and lies in Gamma1(25), t the rescale matrix at N = 5."""
+    def all_b():
+        t5 = modgroup.rescale_matrix(5)
+        ti = t5.inv()
+        g1_25 = modgroup.SubgroupSpec("gamma1", 25, 25)
+        for b in range(25):
+            conj = ti * modgroup.Mat2(1, b, 0, 1, 25) * t5
+            if conj.entries() != modgroup.conjugation_closed_form(5, b).entries():
+                return False
+            if not modgroup.member(conj, g1_25):
+                return False
+        return True
+
+    return _timed("conjugation-closed-form", {"N": 5, "all_b": True}, True, all_b)
+
+
+def run_groups(n_values: Iterable[int] = (4, 5, 6, 7)) -> list:
+    g1_25 = modgroup.SubgroupSpec("gamma1", 25, 25)
+    rescaled5 = modgroup.SubgroupSpec("gamma1_rescaled", 5, 25)
+    t = modgroup.rescale_matrix(5)
+    return [
+        _timed("sl2-order-2-exhaustive", {"M": 2}, 6, lambda: modgroup.sl2_count(2)),
+        _timed("sl2-order-5-exhaustive", {"M": 5}, 120, lambda: modgroup.sl2_count(5)),
         _timed(
             "sl2-order-25-exhaustive-vs-formula",
             {"M": 25},
@@ -204,9 +215,7 @@ def run_groups(n_values: Iterable[int] = (4, 5, 6, 7), seed: int = 0) -> list:
                 "count": modgroup.sl2_count(25),
                 "formula": modgroup.sl2_count_formula(25),
             },
-        )
-    )
-    reports.append(
+        ),
         _timed(
             "sl2-formula-agreement-upto-30",
             {"range": "2..30"},
@@ -215,72 +224,30 @@ def run_groups(n_values: Iterable[int] = (4, 5, 6, 7), seed: int = 0) -> list:
                 modgroup.sl2_count(M) == modgroup.sl2_count_formula(M)
                 for M in range(2, 31)
             ),
-        )
-    )
-
-    for N in n_values:
-        M = N * N
-        rescaled = modgroup.SubgroupSpec("gamma1_rescaled", N, M)
-        g1_n2 = modgroup.SubgroupSpec("gamma1", M, M)
-        reports.append(
-            _timed(
-                "rescaled-subgroup-order",
-                {"N": N},
-                N**3,
-                lambda s=rescaled: modgroup.subgroup_order(s),
-            )
-        )
-        reports.append(
-            _timed(
-                "gamma1-n2-normal-in-rescaled",
-                {"N": N},
-                True,
-                lambda a=g1_n2, b=rescaled: modgroup.is_normal(a, b).normal,
-            )
-        )
-        gamma_n2 = modgroup.SubgroupSpec("gamma", M, M)
-        def mult_identity(N=N, M=M, rescaled=rescaled, g1_n2=g1_n2, gamma_n2=gamma_n2):
-            lhs = modgroup.index(gamma_n2, rescaled)
-            rhs = modgroup.index(g1_n2, rescaled) * modgroup.index(gamma_n2, g1_n2)
-            return lhs == rhs
-        reports.append(
-            _timed("index-multiplicativity", {"N": N}, True, mult_identity)
-        )
-
-    g1_25 = modgroup.SubgroupSpec("gamma1", 25, 25)
-    g1_5at25 = modgroup.SubgroupSpec("gamma1", 5, 25)
-    rescaled5 = modgroup.SubgroupSpec("gamma1_rescaled", 5, 25)
-    reports.append(
+        ),
+        *(r for N in n_values for r in rescaled_level(N)),
         _timed(
             "gamma1-25-order", {"M": 25}, 25, lambda: modgroup.subgroup_order(g1_25)
-        )
-    )
-    reports.append(
+        ),
         _timed(
             "index-rescaled5-gamma1-25",
             {"N": 5},
             5,
             lambda: modgroup.index(g1_25, rescaled5),
-        )
-    )
-    reports.append(
+        ),
         _timed(
             "index-gamma1-5-gamma1-25",
             {"N": 5},
             25,
-            lambda: modgroup.index(g1_25, g1_5at25),
-        )
-    )
-    reports.append(
+            lambda: modgroup.index(g1_25, modgroup.SubgroupSpec("gamma1", 5, 25)),
+        ),
         _timed(
             "gamma0-4-index",
             {"M": 4},
             6,
             lambda: modgroup.sl2_count(4)
             // modgroup.subgroup_order(modgroup.SubgroupSpec("gamma0", 4, 4)),
-        )
-    )
-    reports.append(
+        ),
         _timed(
             "principal-5-normal-in-sl2",
             {"N": 5},
@@ -289,11 +256,7 @@ def run_groups(n_values: Iterable[int] = (4, 5, 6, 7), seed: int = 0) -> list:
                 modgroup.SubgroupSpec("gamma", 5, 5),
                 modgroup.SubgroupSpec("full", 5, 5),
             ).normal,
-        )
-    )
-
-    t = modgroup.rescale_matrix(5)
-    reports.append(
+        ),
         _timed(
             "rescale-matrix-memberships",
             {"N": 5, "matrix": list(t.entries())},
@@ -304,36 +267,22 @@ def run_groups(n_values: Iterable[int] = (4, 5, 6, 7), seed: int = 0) -> list:
                 "rescaled_5": modgroup.member(t, rescaled5),
                 "det": t.det(),
             },
-        )
-    )
-
-    def conjugation_all_b():
-        t5 = modgroup.rescale_matrix(5)
-        ti = t5.inv()
-        for b in range(25):
-            u = modgroup.Mat2(1, b, 0, 1, 25)
-            conj = ti * u * t5
-            if conj.entries() != modgroup.conjugation_closed_form(5, b).entries():
-                return False
-            if not modgroup.member(conj, g1_25):
-                return False
-        return True
-
-    reports.append(
-        _timed("conjugation-closed-form", {"N": 5, "all_b": True}, True, conjugation_all_b)
-    )
-    return reports
+        ),
+        conjugation_closed_form(),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # pairing scope
 # ---------------------------------------------------------------------------
 
-def run_pairing(seed: int = 0, instances: int = 50) -> list:
-    reports = []
-    rng = random.Random(seed)
+def radicand_miller_exact(rng: random.Random, seed: int) -> Report:
+    """f_{5,P}(-P) = b exactly on 50 sampled E_b over F_p, p = 1 (mod 5);
+    a value off b still counts toward class_ok when it is b times a fifth
+    power.  `seed` labels the row; the draws come from `rng`."""
+    instances = 50
 
-    def radicand_batch():
+    def batch():
         exact = 0
         class_ok = 0
         for _ in range(instances):
@@ -350,16 +299,18 @@ def run_pairing(seed: int = 0, instances: int = 50) -> list:
                     class_ok += 1
         return {"exact": exact, "class_ok": class_ok}
 
-    reports.append(
-        _timed(
-            "radicand-miller-exact",
-            {"instances": instances, "seed": seed},
-            {"exact": instances, "class_ok": instances},
-            radicand_batch,
-        )
+    return _timed(
+        "radicand-miller-exact",
+        {"instances": instances, "seed": seed},
+        {"exact": instances, "class_ok": instances},
+        batch,
     )
 
-    def pairing_properties():
+
+def pairing_properties_f31(rng: random.Random) -> Report:
+    """Weil and Tate pairing axioms on E_11 over F_31; the bilinearity
+    pairs are drawn from `rng`."""
+    def properties():
         F = make_field(31)
         b = F.el(11)
         E = degree5_curve(b)
@@ -386,25 +337,28 @@ def run_pairing(seed: int = 0, instances: int = 50) -> list:
             "tate_class_matches_radicand": t_base == b ** ((31 - 1) // 5),
         }
 
-    reports.append(
-        _timed(
-            "pairing-properties-f31",
-            {"p": 31, "b": 11},
-            {
-                "weil_alternating": True,
-                "weil_antisymmetric": True,
-                "weil_basis_order": 5,
-                "tate_nondegenerate": True,
-                "tate_bilinear": True,
-                "tate_class_matches_radicand": True,
-            },
-            pairing_properties,
-        )
+    return _timed(
+        "pairing-properties-f31",
+        {"p": 31, "b": 11},
+        {
+            "weil_alternating": True,
+            "weil_antisymmetric": True,
+            "weil_basis_order": 5,
+            "tate_nondegenerate": True,
+            "tate_bilinear": True,
+            "tate_class_matches_radicand": True,
+        },
+        properties,
     )
 
-    def radicand_class_batch():
+
+def radicand_class_vs_tate(rng: random.Random, seed: int) -> Report:
+    """The radicand's fifth-power class is the reduced Tate pairing
+    t(P, -P) on 20 sampled E_b over F_p, p = 1 (mod 5)."""
+    trials = 20
+
+    def batch():
         ok = 0
-        trials = 20
         for _ in range(trials):
             F, b = _random_instance(rng, PRIMES_1_MOD_5)
             E = degree5_curve(b)
@@ -414,28 +368,32 @@ def run_pairing(seed: int = 0, instances: int = 50) -> list:
                 ok += 1
         return ok
 
-    reports.append(
-        _timed(
-            "radicand-class-vs-tate",
-            {"instances": 20, "seed": seed},
-            20,
-            radicand_class_batch,
-        )
+    return _timed(
+        "radicand-class-vs-tate", {"instances": trials, "seed": seed}, trials, batch
     )
-    return reports
+
+
+def run_pairing(seed: int = 0) -> list:
+    rng = random.Random(seed)
+    return [
+        radicand_miller_exact(rng, seed),
+        pairing_properties_f31(rng),
+        radicand_class_vs_tate(rng, seed),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # radical scope
 # ---------------------------------------------------------------------------
 
-def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
-    reports = []
-    rng = random.Random(seed)
+def velu_codomain_closed_form(rng: random.Random, seed: int) -> Report:
+    """E_b / <(0, 0)> has the closed-form a4, a6 and E_b's a1, a2, a3 on
+    20 sampled E_b over F_p, p != 5."""
+    instances = 20
 
-    def velu_codomain_batch():
+    def batch():
         ok = 0
-        for _ in range(20):
+        for _ in range(instances):
             F, b = _random_instance(rng, PRIMES_GENERIC)
             E = degree5_curve(b)
             phi = velu(E, Point(F.zero, F.zero))
@@ -451,14 +409,24 @@ def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
                 ok += 1
         return ok
 
-    reports.append(
-        _timed("velu-codomain-closed-form", {"instances": 20, "seed": seed}, 20,
-               velu_codomain_batch)
+    return _timed(
+        "velu-codomain-closed-form",
+        {"instances": instances, "seed": seed},
+        instances,
+        batch,
     )
 
-    def agreement_batch():
+
+def radical_velu_agreement(rng: random.Random, seed: int) -> Report:
+    """On 50 sampled fifth powers b over F_p, p = 1 (mod 5), each of the
+    five radical successors is a Velu reference successor, and its
+    distinguished point lies on E_b / <(0, 0)>, has order 5 and is
+    distinguished there.  An instance counts only when all five agree."""
+    instances = 50
+
+    def batch():
         ok = 0
-        for _ in range(agreement_instances):
+        for _ in range(instances):
             F, b = _random_instance(rng, PRIMES_1_MOD_5, fifth_power=True)
             roots = nth_roots(b, 5)
             if len(roots) != 5:
@@ -466,36 +434,27 @@ def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
             reference = {e.coeffs for e in velu_reference_step(b)}
             E = degree5_curve(b)
             phi = velu(E, Point(F.zero, F.zero))
-            good = True
             for i, alpha in enumerate(roots):
-                step = step_from_root(b, alpha, i)
-                if step.b_next.coeffs not in reference:
-                    good = False
+                if step_from_root(b, alpha, i).b_next.coeffs not in reference:
                     break
                 P2 = distinguished_point_5(b, alpha)
-                if not phi.codomain.contains(P2):
-                    good = False
+                if not (phi.codomain.contains(P2) and has_order(phi.codomain, P2, 5)
+                        and is_distinguished(phi, P2)):
                     break
-                if not has_order(phi.codomain, P2, 5):
-                    good = False
-                    break
-                if not is_distinguished(phi, P2):
-                    good = False
-                    break
-            if good:
+            else:
                 ok += 1
         return ok
 
-    reports.append(
-        _timed(
-            "radical-velu-agreement",
-            {"instances": agreement_instances, "seed": seed},
-            agreement_instances,
-            agreement_batch,
-        )
+    return _timed(
+        "radical-velu-agreement",
+        {"instances": instances, "seed": seed},
+        instances,
+        batch,
     )
 
-    def chain_f13():
+
+def chain_f13_oracle() -> Report:
+    def check():
         F = make_field(13)
         chain = radical_chain(F.el(4), 2, policy="unique")
         first_ok = [b.to_int() for b in chain.b_values[:2]] == [4, 2]
@@ -506,24 +465,18 @@ def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
         )
         return {"prefix": first_ok, "oracle_confirmed": ref_ok}
 
-    reports.append(
-        _timed(
-            "chain-f13-oracle",
-            {"p": 13, "b0": 4, "steps": 2},
-            {"prefix": True, "oracle_confirmed": True},
-            chain_f13,
-        )
+    return _timed(
+        "chain-f13-oracle",
+        {"p": 13, "b0": 4, "steps": 2},
+        {"prefix": True, "oracle_confirmed": True},
+        check,
     )
 
-    def determinism():
-        F = make_field(13)
-        c1 = radical_chain(F.el(4), 5, policy="unique").as_json()
-        c2 = radical_chain(F.el(4), 5, policy="unique").as_json()
-        return c1 == c2
 
-    reports.append(_timed("chain-determinism", {"p": 13}, True, determinism))
-
-    def irreducibility_f11():
+def irreducibility_f11_vs_oracle() -> Report:
+    """x^5 - b over F_11 is irreducible exactly when b is no fifth power,
+    by the criterion and by the factoring oracle alike."""
+    def check():
         F = make_field(11)
         fifth_powers = {(F.el(v) ** 5).to_int() for v in range(1, 11)}
         for bi in range(1, 11):
@@ -534,11 +487,11 @@ def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
                 return False
         return True
 
-    reports.append(
-        _timed("irreducibility-f11-vs-oracle", {"p": 11}, True, irreducibility_f11)
-    )
+    return _timed("irreducibility-f11-vs-oracle", {"p": 11}, True, check)
 
-    def irreducibility_f13():
+
+def irreducibility_f13_always_reducible() -> Report:
+    def check():
         # gcd(5, 12) = 1 forces a linear factor: never irreducible
         F = make_field(13)
         return all(
@@ -547,158 +500,147 @@ def run_radical(seed: int = 0, agreement_instances: int = 50) -> list:
             for bi in range(1, 13)
         )
 
-    reports.append(
-        _timed("irreducibility-f13-always-reducible", {"p": 13}, True, irreducibility_f13)
-    )
-    return reports
+    return _timed("irreducibility-f13-always-reducible", {"p": 13}, True, check)
+
+
+def run_radical(seed: int = 0) -> list:
+    rng = random.Random(seed)
+    F13 = make_field(13)
+    return [
+        velu_codomain_closed_form(rng, seed),
+        radical_velu_agreement(rng, seed),
+        chain_f13_oracle(),
+        _timed(
+            "chain-determinism",
+            {"p": 13},
+            True,
+            lambda: radical_chain(F13.el(4), 5, policy="unique").as_json()
+            == radical_chain(F13.el(4), 5, policy="unique").as_json(),
+        ),
+        irreducibility_f11_vs_oracle(),
+        irreducibility_f13_always_reducible(),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # moduli scope
 # ---------------------------------------------------------------------------
 
-def run_moduli(
-    n_values: Iterable[int] = tuple(range(5, 13)),
-    seed: int = 0,
-    cyclicity_instances: int = 10,
-    rescale_instances: int = 5,
-) -> list:
-    reports = []
-    rng = random.Random(seed)
+def axis_subgroup_not_normal(N: int) -> Report:
+    """The axis subgroup of (Z/N)^2 x| (Z/N)^x is not normal, with a
+    conjugation witness that checks out."""
+    phi_n = sum(1 for k in range(1, N) if math.gcd(k, N) == 1)
 
-    for N in n_values:
-        phi_n = sum(1 for k in range(1, N) if math.gcd(k, N) == 1)
-
-        def normality(N=N, phi_n=phi_n):
-            rep = axis_subgroup_normality(N)
-            witness_ok = False
-            if rep.witness is not None:
-                g, h, conj = rep.witness
-                witness_ok = (
-                    sd_mul(sd_mul(g, h), sd_inv(g)) == conj
-                    and not in_axis_subgroup(conj)
-                    and in_axis_subgroup(h)
-                )
-            return {
-                "normal": rep.normal,
-                "group_order": rep.group_order,
-                "subgroup_order": rep.subgroup_order,
-                "index": rep.group_order // rep.subgroup_order,
-                "witness_validated": witness_ok,
-            }
-
-        reports.append(
-            _timed(
-                "axis-subgroup-not-normal",
-                {"N": N},
-                {
-                    "normal": False,
-                    "group_order": N * N * phi_n,
-                    "subgroup_order": N * phi_n,
-                    "index": N,
-                    "witness_validated": True,
-                },
-                normality,
+    def normality():
+        rep = axis_subgroup_normality(N)
+        witness_ok = False
+        if rep.witness is not None:
+            g, h, conj = rep.witness
+            witness_ok = (
+                sd_mul(sd_mul(g, h), sd_inv(g)) == conj
+                and not in_axis_subgroup(conj)
+                and in_axis_subgroup(h)
             )
-        )
+        return {
+            "normal": rep.normal,
+            "group_order": rep.group_order,
+            "subgroup_order": rep.subgroup_order,
+            "index": rep.group_order // rep.subgroup_order,
+            "witness_validated": witness_ok,
+        }
 
-    def closed_form_conjugation():
-        for N in n_values:
-            for g in group_elements(N):
-                for h in group_elements(N):
-                    if not in_axis_subgroup(h):
-                        continue
-                    if sd_mul(sd_mul(g, h), sd_inv(g)) != conjugate_closed_form(g, h):
-                        return False
-            break  # the full double loop only for the first level
-        return True
-
-    reports.append(
-        _timed(
-            "semidirect-conjugation-closed-form",
-            {"N": list(n_values)[0]},
-            True,
-            closed_form_conjugation,
-        )
+    return _timed(
+        "axis-subgroup-not-normal",
+        {"N": N},
+        {
+            "normal": False,
+            "group_order": N * N * phi_n,
+            "subgroup_order": N * phi_n,
+            "index": N,
+            "witness_validated": True,
+        },
+        normality,
     )
 
-    insts = marked_25_instances(max(cyclicity_instances, rescale_instances))
 
-    def cyclicity():
+def semidirect_conjugation_closed_form(N: int) -> Report:
+    """g h g^-1 matches the closed form for every g and every axis h."""
+    def check():
+        G = list(group_elements(N))
+        return all(
+            sd_mul(sd_mul(g, h), sd_inv(g)) == conjugate_closed_form(g, h)
+            for g in G
+            for h in G
+            if in_axis_subgroup(h)
+        )
+
+    return _timed("semidirect-conjugation-closed-form", {"N": N}, True, check)
+
+
+def composition_kernel_cyclic_25(instances: list) -> Report:
+    """For (b, E, R) from `torsion_instances`, the kernel of psi o phi,
+    phi = E -> E/<5R> and psi the quotient by phi(R), is the cyclic
+    group <R> of order 25: its kernel polynomial has the x-coordinates of
+    <R> as roots.  <R> holds R, of order 25, so it is not E[5]."""
+    def count():
         ok = 0
-        for p, bi in insts[:cyclicity_instances]:
-            F = make_field(p)
-            E = degree5_curve(F.el(bi))
-            P = Point(F.zero, F.zero)
-            R = rational_point_of_order(E, 25, above=P)
-            ec = MarkedPoint(E, R, 25)
-            mp2, phi = proj_quotient(ec, 5)
+        for b, E, R in instances:
+            mp2, phi = proj_quotient(MarkedPoint(E, R, 25), 5)
             psi = velu(phi.codomain, mp2.point)
-            # ker(psi o phi) has order 25: it is cyclic unless it is E[5],
-            # and a monic kernel polynomial of degree 12 vanishing at x(R)
-            # shows it holds R, of order 25
             kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
-            if (len(kernel_poly) == 13 and kernel_poly[-1] == F.one
-                    and poly.value_and_derivative(kernel_poly, R.x)[0].is_zero()
-                    and kernel_poly != poly.monic(division_polynomial(E, 5), F)):
+            cyclic = E.subgroup(R)
+            xs = {Q.x.coeffs: Q.x for Q in cyclic[1:]}
+            if len(cyclic) == 25 and kernel_poly == poly.from_roots(xs.values(), b.ctx):
                 ok += 1
         return ok
 
-    reports.append(
-        _timed(
-            "composition-kernel-cyclic-25",
-            {"instances": cyclicity_instances},
-            cyclicity_instances,
-            cyclicity,
-        )
+    return _timed(
+        "composition-kernel-cyclic-25",
+        {"instances": len(instances)},
+        len(instances),
+        count,
     )
 
-    def rescale_checks():
+
+def rescale_order_and_projection_invariance(instances: list) -> Report:
+    """On each (b, E, R) from `torsion_instances`, the rescale operator
+    has exact order 5 on R, both projections to level 5 are invariant
+    under it, and phi(R) is distinguished on the quotient."""
+    def count():
         ok = 0
-        for p, bi in insts[:rescale_instances]:
-            F = make_field(p)
-            E = degree5_curve(F.el(bi))
-            P = Point(F.zero, F.zero)
-            R = rational_point_of_order(E, 25, above=P)
-            ec = MarkedPoint(E, R, 25)
-            cur = ec
-            seen = []
+        for _, E, R in instances:
+            orbit = [MarkedPoint(E, R, 25)]
             for _ in range(5):
-                cur = rescale(cur, 5)
-                seen.append(cur.point)
-            exact_order = seen[-1] == R and all(pt != R for pt in seen[:-1])
-            b1 = params_of(proj_point(ec, 5)).b
-            mp2, phi = proj_quotient(ec, 5)
+                orbit.append(rescale(orbit[-1], 5))
+            exact_order = orbit[5].point == R and all(m.point != R for m in orbit[1:5])
+            b1 = params_of(proj_point(orbit[0], 5)).b
+            mp2, phi = proj_quotient(orbit[0], 5)
             b2 = params_of(mp2).b
-            invariant = True
-            cur = ec
-            for _ in range(4):
-                cur = rescale(cur, 5)
-                if params_of(proj_point(cur, 5)).b != b1:
-                    invariant = False
-                mq, _ = proj_quotient(cur, 5)
-                if params_of(mq).b != b2:
-                    invariant = False
+            invariant = all(
+                params_of(proj_point(m, 5)).b == b1
+                and params_of(proj_quotient(m, 5)[0]).b == b2
+                for m in orbit[1:5]
+            )
             if exact_order and invariant and is_distinguished(phi, mp2.point):
                 ok += 1
         return ok
 
-    reports.append(
-        _timed(
-            "rescale-order-and-projection-invariance",
-            {"instances": rescale_instances},
-            rescale_instances,
-            rescale_checks,
-        )
+    return _timed(
+        "rescale-order-and-projection-invariance",
+        {"instances": len(instances)},
+        len(instances),
+        count,
     )
 
-    def action_checks():
-        p, bi = action_basis_instance()
-        F = make_field(p)
-        E = degree5_curve(F.el(bi))
-        P = Point(F.zero, F.zero)
-        R = rational_point_of_order(E, 25, above=P)
-        basis = torsion_basis(E, 5, F)
+
+def torsion_action_axioms(rng: random.Random, seed: int) -> Report:
+    """The action of (Z/5)^2 x| (Z/5)^x on order-25 points over the marked
+    point, on the first curve over F_251, F_401 or F_601 with fully
+    rational 5-torsion: 100 sampled axiom pairs, the identity, the orbit
+    of R, and the Gamma0 invariant along it."""
+    def checks():
+        _, E, R = next(torsion_instances((251, 401, 601), full_basis=True))
+        basis = torsion_basis(E, 5, E.ctx)
         Gs = list(group_elements(5))
         axiom = all(
             g_action(sd_mul(g, h), E, R, basis)
@@ -722,65 +664,80 @@ def run_moduli(
             "beta_invariant": betas == {base_beta},
         }
 
-    reports.append(
-        _timed(
-            "torsion-action-axioms",
-            {"N": 5, "seed": seed},
-            {"axiom": True, "identity": True, "orbit_size": 100, "beta_invariant": True},
-            action_checks,
-        )
+    return _timed(
+        "torsion-action-axioms",
+        {"N": 5, "seed": seed},
+        {"axiom": True, "identity": True, "orbit_size": 100, "beta_invariant": True},
+        checks,
     )
 
-    for p in (11, 31):
-        def equiv_exhaustive(p=p):
-            F = make_field(p)
-            valid = [
-                F.el(v)
-                for v in range(1, p)
-                if not normal_form_discriminant(F.el(v), F.el(v)).is_zero()
-            ]
-            for b1 in valid:
-                for b2 in valid:
-                    sym = b1 == b2 or b1 * b2 == F.el(-1)
-                    beta_eq = gamma0_invariant(b1) == gamma0_invariant(b2)
-                    if gamma0_equiv(b1, b2) != sym or sym != beta_eq:
-                        return False
-            return True
 
-        reports.append(
-            _timed("gamma0-equivalence-exhaustive", {"p": p}, True, equiv_exhaustive)
-        )
-
-    def beta_symmetry():
-        F = make_field(31)
-        for v in range(1, 31):
-            b = F.el(v)
-            if gamma0_invariant(b) != gamma0_invariant(-(b.inverse())):
-                return False
+def gamma0_equivalence_exhaustive(p: int) -> Report:
+    """Over F_p, for every pair of valid b: gamma0_equiv, the relation
+    b2 in {b1, -1/b1} and equal Gamma0 invariants agree."""
+    def check():
+        F = make_field(p)
+        valid = [
+            F.el(v)
+            for v in range(1, p)
+            if not normal_form_discriminant(F.el(v), F.el(v)).is_zero()
+        ]
+        for b1 in valid:
+            for b2 in valid:
+                sym = b1 == b2 or b1 * b2 == F.el(-1)
+                beta_eq = gamma0_invariant(b1) == gamma0_invariant(b2)
+                if gamma0_equiv(b1, b2) != sym or sym != beta_eq:
+                    return False
         return True
 
-    reports.append(_timed("beta-symmetry", {"p": 31}, True, beta_symmetry))
-    return reports
+    return _timed("gamma0-equivalence-exhaustive", {"p": p}, True, check)
+
+
+def beta_symmetry() -> Report:
+    def check():
+        F = make_field(31)
+        return all(
+            gamma0_invariant(F.el(v)) == gamma0_invariant(-(F.el(v).inverse()))
+            for v in range(1, 31)
+        )
+
+    return _timed("beta-symmetry", {"p": 31}, True, check)
+
+
+def run_moduli(n_values: Iterable[int] = tuple(range(5, 13)), seed: int = 0) -> list:
+    rng = random.Random(seed)
+    n_values = tuple(n_values)
+    marked = list(itertools.islice(torsion_instances(PRIMES_1_MOD_25), 10))
+    return [
+        *(axis_subgroup_not_normal(N) for N in n_values),
+        semidirect_conjugation_closed_form(n_values[0]),
+        composition_kernel_cyclic_25(marked),
+        rescale_order_and_projection_invariance(marked[:5]),
+        torsion_action_axioms(rng, seed),
+        gamma0_equivalence_exhaustive(11),
+        gamma0_equivalence_exhaustive(31),
+        beta_symmetry(),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+_RUNNERS = {
+    "groups": lambda levels, seed: run_groups(**levels),
+    "pairing": lambda levels, seed: run_pairing(seed),
+    "radical": lambda levels, seed: run_radical(seed),
+    "moduli": lambda levels, seed: run_moduli(seed=seed, **levels),
+}
+
+
 def run_scope(scope: str, n_values=None, seed: int = 0) -> list:
-    if scope == "groups":
-        return run_groups(n_values or (4, 5, 6, 7), seed)
-    if scope == "pairing":
-        return run_pairing(seed)
-    if scope == "radical":
-        return run_radical(seed)
-    if scope == "moduli":
-        return run_moduli(n_values or tuple(range(5, 13)), seed)
+    """The rows of one scope; `n_values` replaces the default levels of
+    groups and moduli.  "all" concatenates every scope, in SCOPES order,
+    at its default levels."""
     if scope == "all":
-        out = []
-        out += run_groups((4, 5, 6, 7), seed)
-        out += run_pairing(seed)
-        out += run_radical(seed)
-        out += run_moduli(tuple(range(5, 13)), seed)
-        return out
-    raise ValueError(f"unknown scope {scope!r}")
+        return [r for s in SCOPES for r in run_scope(s, seed=seed)]
+    if scope not in _RUNNERS:
+        raise ValueError(f"unknown scope {scope!r}")
+    return _RUNNERS[scope]({"n_values": n_values} if n_values else {}, seed)

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import json
+
 import hypothesis
 import pytest
 
+from radicant.cli import main
 from radicant.field import make_field
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
@@ -20,3 +25,13 @@ def F13():
 @pytest.fixture(scope="session")
 def F31():
     return make_field(31)
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """(exit code, payload) of `radicant verify --scope all --timings` at
+    seed 0, run once for the golden rows and the acceptance criteria."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--scope", "all", "--seed", "0", "--timings"])
+    return code, json.loads(out.getvalue())

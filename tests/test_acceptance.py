@@ -1,48 +1,26 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
-line with its runtime and enforcing the stated budget."""
+line with its runtime and enforcing the stated budget.
 
-import math
+The criteria are claims of the registry in radicant.verify; each test
+states the values the claim must compute.  A1-A3 run their sampled claims
+at seeds 1-3.  A4-A8, A10 and A11 read the rows of the session's
+`verify --scope all --timings` run at seed 0, and their budget bounds the
+claim time of those rows.  A9 has no claim and calls the library."""
+
 import random
 import time
 
-import pytest
-
 from radicant import curve as curve_mod
-from radicant import modgroup, poly, verify
-from radicant.curve import (
-    Point,
-    degree5_curve,
-    division_polynomial,
-    normal_form_discriminant,
-    point_order,
-    rational_point_of_order,
-)
-from radicant.field import make_field, nth_roots
-from radicant.isogeny import composition_kernel_polynomial, is_distinguished, velu
-from radicant.moduli import (
-    MarkedPoint,
-    axis_subgroup_normality,
-    gamma0_equiv,
-    gamma0_invariant,
-    in_axis_subgroup,
-    params_of,
-    proj_point,
-    proj_quotient,
-    rescale,
-    sd_inv,
-    sd_mul,
-)
-from radicant.pairing import miller
-from radicant.radical import (
-    distinguished_point_5,
-    radical_chain,
-    radical_poly_irreducible,
-    radical_poly_irreducible_oracle,
-    step_from_root,
-    velu_chain,
-    velu_reference_step,
-)
-from radicant.verify import PRIMES_1_MOD_5, _random_instance
+from radicant import verify
+from radicant.field import make_field
+from radicant.radical import radical_chain, velu_chain
+
+
+def report(name: str, seconds: float, elapsed: float, passed: bool):
+    status = "PASS" if passed else "FAIL"
+    print(f"{name}: {status} ({elapsed:.2f}s / budget {seconds:.0f}s)")
+    if passed:
+        assert elapsed < seconds, f"{name} exceeded its runtime budget"
 
 
 class Budget:
@@ -55,159 +33,84 @@ class Budget:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.t0
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"{self.name}: {status} ({elapsed:.2f}s / budget {self.seconds:.0f}s)")
-        if exc_type is None:
-            assert elapsed < self.seconds, f"{self.name} exceeded its runtime budget"
+        report(self.name, self.seconds, time.perf_counter() - self.t0, exc_type is None)
         return False
+
+
+def assert_claim(rep, claim, params, computed):
+    assert (rep.claim, rep.params, rep.computed, rep.passed) == (
+        claim, params, computed, True
+    )
+
+
+def assert_rows(verify_all, name, seconds, wanted):
+    """Every row of `verify_all` whose (claim, params) is listed in
+    `wanted` passes with the computed value listed beside it, in the
+    listed order, and those rows' claim time stays within the budget."""
+    _, payload = verify_all
+    keys = [(claim, params) for claim, params, _ in wanted]
+    rows = [r for r in payload["reports"] if (r["claim"], r["params"]) in keys]
+    got = [(r["claim"], r["params"], r["computed"], r["pass"]) for r in rows]
+    passed = got == [(c, p, v, True) for c, p, v in wanted]
+    report(name, seconds, sum(r["ms"] for r in rows) / 1000.0, passed)
+    assert passed, got
 
 
 def test_a1_radicand_identity():
     with Budget("A1 radicand identity", 5.0):
-        rng = random.Random(1)
-        exact = 0
-        diagnostics_ok = True
-        for _ in range(50):
-            F, b = _random_instance(rng, PRIMES_1_MOD_5)
-            E = degree5_curve(b)
-            P = Point(F.zero, F.zero)
-            val = miller(E, P, E.neg(P), 5)
-            if val == b:
-                exact += 1
-            elif not nth_roots(val / b, 5):
-                diagnostics_ok = False
-        assert diagnostics_ok, "a mismatch factor was not a fifth power"
-        assert exact >= 48, f"only {exact}/50 exact"
-        assert exact == 50, f"{exact}/50 exact (target is 50/50)"
+        r = verify.radicand_miller_exact(random.Random(1), 1)
+        assert_claim(r, "radicand-miller-exact", {"instances": 50, "seed": 1},
+                     {"exact": 50, "class_ok": 50})
 
 
 def test_a2_velu_codomain():
     with Budget("A2 Velu codomain coefficients", 1.0):
-        rng = random.Random(2)
-        for _ in range(20):
-            F, b = _random_instance(rng, verify.PRIMES_GENERIC)
-            E = degree5_curve(b)
-            phi = velu(E, Point(F.zero, F.zero))
-            assert phi.codomain.a4 == -5 * b * (b * b + 2 * b - 1)
-            assert phi.codomain.a6 == -b * (
-                b**4 + 10 * b**3 - 5 * b * b + 15 * b - 1
-            )
+        r = verify.velu_codomain_closed_form(random.Random(2), 2)
+        assert_claim(r, "velu-codomain-closed-form", {"instances": 20, "seed": 2}, 20)
 
 
 def test_a3_radical_velu_agreement():
     with Budget("A3 radical/Velu agreement", 60.0):
-        rng = random.Random(3)
-        for _ in range(50):
-            F, b = _random_instance(rng, PRIMES_1_MOD_5, fifth_power=True)
-            roots = nth_roots(b, 5)
-            assert len(roots) == 5
-            reference = {e.coeffs for e in velu_reference_step(b)}
-            E = degree5_curve(b)
-            phi = velu(E, Point(F.zero, F.zero))
-            for i, alpha in enumerate(roots):
-                assert step_from_root(b, alpha, i).b_next.coeffs in reference
-                P2 = distinguished_point_5(b, alpha)
-                assert phi.codomain.contains(P2)
-                assert point_order(phi.codomain, P2) == 5
-                assert is_distinguished(phi, P2)
+        r = verify.radical_velu_agreement(random.Random(3), 3)
+        assert_claim(r, "radical-velu-agreement", {"instances": 50, "seed": 3}, 50)
 
 
-def test_a4_composition_cyclicity():
-    with Budget("A4 composition kernel cyclic of order 25", 120.0):
-        instances = verify.marked_25_instances(10)
-        assert len(instances) == 10
-        for p, bi in instances:
-            F = make_field(p)
-            E = degree5_curve(F.el(bi))
-            P = Point(F.zero, F.zero)
-            R = rational_point_of_order(E, 25, above=P)
-            mp2, phi = proj_quotient(MarkedPoint(E, R, 25), 5)
-            psi = velu(phi.codomain, mp2.point)
-            # ker(psi o phi) is <R>, cyclic of order 25, and not E[5]
-            cyclic = E.subgroup(R)
-            assert len(cyclic) == 25
-            kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)
-            xs = {Q.x.coeffs: Q.x for Q in cyclic[1:]}
-            assert kernel_poly == poly.from_roots(xs.values(), F)
-            assert kernel_poly != poly.monic(division_polynomial(E, 5), F)
+def test_a4_composition_cyclicity(verify_all):
+    assert_rows(verify_all, "A4 composition kernel cyclic of order 25", 120.0, [
+        ("composition-kernel-cyclic-25", {"instances": 10}, 10),
+    ])
 
 
-def test_a5_group_counts_and_indices():
-    with Budget("A5 group counts and indices", 30.0):
-        assert modgroup.sl2_count(25) == 15000 == modgroup.sl2_count_formula(25)
-        assert (
-            modgroup.subgroup_order(modgroup.SubgroupSpec("gamma1_rescaled", 5, 25))
-            == 125
-        )
-        g1_25 = modgroup.SubgroupSpec("gamma1", 25, 25)
-        assert (
-            modgroup.index(g1_25, modgroup.SubgroupSpec("gamma1_rescaled", 5, 25)) == 5
-        )
-        assert modgroup.index(g1_25, modgroup.SubgroupSpec("gamma1", 5, 25)) == 25
-        for N in (4, 5, 6, 7):
-            assert (
-                modgroup.subgroup_order(
-                    modgroup.SubgroupSpec("gamma1_rescaled", N, N * N)
-                )
-                == N**3
-            )
+def test_a5_group_counts_and_indices(verify_all):
+    assert_rows(verify_all, "A5 group counts and indices", 30.0, [
+        ("sl2-order-25-exhaustive-vs-formula", {"M": 25},
+         {"count": 15000, "formula": 15000}),
+        *(("rescaled-subgroup-order", {"N": N}, N**3) for N in (4, 5, 6, 7)),
+        ("index-rescaled5-gamma1-25", {"N": 5}, 5),
+        ("index-gamma1-5-gamma1-25", {"N": 5}, 25),
+    ])
 
 
-def test_a6_normality_and_conjugation():
-    with Budget("A6 normality and conjugation congruence", 30.0):
-        for N in (4, 5, 6, 7):
-            rep = modgroup.is_normal(
-                modgroup.SubgroupSpec("gamma1", N * N, N * N),
-                modgroup.SubgroupSpec("gamma1_rescaled", N, N * N),
-            )
-            assert rep.normal
-        t = modgroup.rescale_matrix(5)
-        ti = t.inv()
-        g1_25 = modgroup.SubgroupSpec("gamma1", 25, 25)
-        for b in range(25):
-            conj = ti * modgroup.Mat2(1, b, 0, 1, 25) * t
-            assert conj.entries() == modgroup.conjugation_closed_form(5, b).entries()
-            assert modgroup.member(conj, g1_25)
+def test_a6_normality_and_conjugation(verify_all):
+    assert_rows(verify_all, "A6 normality and conjugation congruence", 30.0, [
+        *(("gamma1-n2-normal-in-rescaled", {"N": N}, True) for N in (4, 5, 6, 7)),
+        ("conjugation-closed-form", {"N": 5, "all_b": True}, True),
+    ])
 
 
-def test_a7_main_theorem():
-    with Budget("A7 axis subgroup not normal (N = 5..12)", 10.0):
-        for N in range(5, 13):
-            phi_n = sum(1 for k in range(1, N) if math.gcd(k, N) == 1)
-            rep = axis_subgroup_normality(N)
-            assert rep.normal is False
-            assert rep.group_order == N * N * phi_n
-            assert rep.subgroup_order == N * phi_n
-            g, h, conj = rep.witness
-            assert sd_mul(sd_mul(g, h), sd_inv(g)) == conj
-            assert in_axis_subgroup(h) and not in_axis_subgroup(conj)
+def test_a7_main_theorem(verify_all):
+    euler_phi = {5: 4, 6: 2, 7: 6, 8: 4, 9: 6, 10: 4, 11: 10, 12: 4}
+    assert_rows(verify_all, "A7 axis subgroup not normal (N = 5..12)", 10.0, [
+        ("axis-subgroup-not-normal", {"N": N},
+         {"normal": False, "group_order": N * N * phi, "subgroup_order": N * phi,
+          "index": N, "witness_validated": True})
+        for N, phi in euler_phi.items()
+    ])
 
 
-def test_a8_rescale_operator():
-    with Budget("A8 rescale operator order and projection invariance", 60.0):
-        instances = verify.marked_25_instances(5)
-        assert len(instances) >= 5
-        for p, bi in instances[:5]:
-            F = make_field(p)
-            E = degree5_curve(F.el(bi))
-            P = Point(F.zero, F.zero)
-            R = rational_point_of_order(E, 25, above=P)
-            ec = MarkedPoint(E, R, 25)
-            cur, orbit = ec, []
-            for _ in range(5):
-                cur = rescale(cur, 5)
-                orbit.append(cur.point)
-            assert orbit[-1] == R and all(q != R for q in orbit[:-1])
-            b1 = params_of(proj_point(ec, 5)).b
-            mp2, _ = proj_quotient(ec, 5)
-            b2 = params_of(mp2).b
-            cur = ec
-            for _ in range(4):
-                cur = rescale(cur, 5)
-                assert params_of(proj_point(cur, 5)).b == b1
-                mq, _ = proj_quotient(cur, 5)
-                assert params_of(mq).b == b2
+def test_a8_rescale_operator(verify_all):
+    assert_rows(verify_all, "A8 rescale operator order and projection invariance",
+                60.0, [("rescale-order-and-projection-invariance", {"instances": 5}, 5)])
 
 
 def test_a9_sampling_free_property():
@@ -224,28 +127,13 @@ def test_a9_sampling_free_property():
         assert rad.b_values == vel.b_values
 
 
-def test_a10_subgroup_class_equivalence():
-    with Budget("A10 marked-subgroup equivalence (F_11, F_31)", 60.0):
-        for p in (11, 31):
-            F = make_field(p)
-            valid = [
-                F.el(v)
-                for v in range(1, p)
-                if not normal_form_discriminant(F.el(v), F.el(v)).is_zero()
-            ]
-            for b1 in valid:
-                for b2 in valid:
-                    algebraic = b1 == b2 or b1 * b2 == F.el(-1)
-                    beta_eq = gamma0_invariant(b1) == gamma0_invariant(b2)
-                    assert gamma0_equiv(b1, b2) == algebraic == beta_eq
+def test_a10_subgroup_class_equivalence(verify_all):
+    assert_rows(verify_all, "A10 marked-subgroup equivalence (F_11, F_31)", 60.0, [
+        ("gamma0-equivalence-exhaustive", {"p": p}, True) for p in (11, 31)
+    ])
 
 
-def test_a11_irreducibility_specialization():
-    with Budget("A11 irreducibility of x^5 - b over F_11", 5.0):
-        F = make_field(11)
-        fifth_powers = {(F.el(v) ** 5).to_int() for v in range(1, 11)}
-        for v in range(1, 11):
-            b = F.el(v)
-            crit = radical_poly_irreducible(b, 5, F)
-            assert crit == radical_poly_irreducible_oracle(b, 5, F)
-            assert crit == (v not in fifth_powers)
+def test_a11_irreducibility_specialization(verify_all):
+    assert_rows(verify_all, "A11 irreducibility of x^5 - b over F_11", 5.0, [
+        ("irreducibility-f11-vs-oracle", {"p": 11}, True),
+    ])

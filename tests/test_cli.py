@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 
 import pytest
@@ -90,6 +91,15 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, "verify", "--scope", "groups", "--n", "4")
         _, out2, _ = run_cli(capsys, "verify", "--scope", "groups", "--n", "4")
         assert out1 == out2
+
+    def test_scope_all_seed0_rows(self, verify_all):
+        # every row at seed 0, timings aside: a changed draw, instance or
+        # value shows here
+        code, payload = verify_all
+        rows = [{k: v for k, v in r.items() if k != "ms"} for r in payload["reports"]]
+        golden = pathlib.Path(__file__).parent / "golden" / "verify_all_seed0.jsonl"
+        assert code == 0
+        assert rows == [json.loads(line) for line in golden.read_text().splitlines()]
 
     def test_timings_flag_adds_ms(self, capsys):
         _, out, _ = run_cli(

@@ -233,15 +233,6 @@ class TestNormality:
         got = None if rep.witness is None else tuple(m.entries() for m in rep.witness)
         assert got == witness
 
-    def test_conjugation_closed_form_all_unipotents(self):
-        t = rescale_matrix(5)
-        ti = t.inv()
-        for b in range(25):
-            u = Mat2(1, b, 0, 1, 25)
-            conj = ti * u * t
-            assert conj.entries() == conjugation_closed_form(5, b).entries()
-            assert member(conj, SubgroupSpec("gamma1", 25, 25))
-
     def test_conjugation_closed_form_other_levels(self):
         for N in (4, 6, 7):
             M = N * N

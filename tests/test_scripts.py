@@ -43,3 +43,14 @@ def test_chain_survey_rejects_multivalued_step(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         _load("chain_survey").main()
     assert exc.value.code == 2
+
+
+def test_find_torsion_instances_f31(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["find_torsion_instances.py", "--primes", "31"])
+    _load("find_torsion_instances").main()
+    assert capsys.readouterr().out.splitlines() == [
+        '{"R": [4, 11], "b": 1, "group_order": 25, "p": 31}',
+        '{"R": [6, 11], "b": 25, "group_order": 25, "p": 31}',
+        '{"R": [7, 22], "b": 26, "group_order": 25, "p": 31}',
+        '{"R": [8, 1], "b": 30, "group_order": 25, "p": 31}',
+    ]
