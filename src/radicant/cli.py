@@ -3,7 +3,7 @@
 Subcommands: chain, verify, bench, groups, pairing, tnf.  Output is UTF-8
 JSON on stdout (sorted keys, no timing fields unless requested), with
 diagnostics on stderr.  Exit codes: 0 success, 1 usage error, 2
-mathematical degeneracy, 3 verification failure.
+mathematical degeneracy, 3 verification failure, 4 resource ceiling.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_RESOURCE = 4
 
 
 def _emit(payload, pretty: bool):
@@ -258,7 +259,10 @@ def main(argv=None) -> int:
     except (DegenerateParams, DegenerateStep, NoRootError) as exc:
         print(f"degenerate instance: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, EnumerationBound, TorsionUnavailable) as exc:
+    except (EnumerationBound, TorsionUnavailable) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RadicantError as exc:

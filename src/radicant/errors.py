@@ -1,7 +1,8 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: usage problems exit 1, mathematical
-degeneracies exit 2, verification failures exit 3.
+degeneracies exit 2, verification failures exit 3, and resource ceilings
+(EnumerationBound, TorsionUnavailable) exit 4.
 """
 
 

@@ -287,8 +287,21 @@ def is_distinguished(phi: Isogeny, P2: Point) -> bool:
 
 def distinguished_points(phi: Isogeny) -> list:
     """The rational order-N points P' on the codomain with dual(P') = kernel
-    generator; points over an extension are not searched."""
+    generator; points over an extension are not searched.
+
+    P' and -P' share x, and dual(-P') = -dual(P'); the generator K has odd
+    order, so K != -K and one evaluation per pair decides both points.
+    """
     dual = cached_dual(phi)
+    K = phi.kernel_generator
+    minus_K = phi.domain.neg(K)
     # the dual carries the rational order-N points of E2 it was built from
-    out = [P2 for P2 in dual.codomain_torsion if dual(P2) == phi.kernel_generator]
+    pairs = {P2.x.coeffs: P2 for P2 in dual.codomain_torsion}
+    out = []
+    for P2 in pairs.values():
+        image = dual(P2)
+        if image == K:
+            out.append(P2)
+        elif image == minus_K:
+            out.append(phi.codomain.neg(P2))
     return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials with FieldElement coefficients.
+"""Dense univariate polynomials over a field F_q.
 
 This is the package's one polynomial implementation: field.py inverts
 through the Frobenius norm and has no polynomial code of its own.  Hosts the
@@ -7,97 +7,209 @@ through it over the prime field F_p.  `factors` finds the irreducible factors
 of small degree by distinct-degree and Cantor-Zassenhaus equal-degree
 splitting; `roots` is its degree-1 case.  `charpoly` gives characteristic
 polynomials in F_q[x]/(m).  Polynomials are lists, constant term first.
+
+The public functions take and return lists of FieldElements.  The
+algorithms compute on raw coefficients, chosen once per call from ctx.k:
+over F_p plain ints in [0, p), where sums of products stay unreduced and
+each coefficient is reduced mod p once, where it is read as a pivot or
+written out; over F_{p^k} with k > 1 the FieldElements themselves, whose
+operators reduce as they go.  Coefficients are unwrapped on entry and
+rebuilt through ctx.el on exit.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from itertools import zip_longest
 
 from sympy import factorint
 
 
-def trim(f, ctx):
-    f = list(f)
-    while len(f) > 1 and f[-1].is_zero():
-        f.pop()
-    return f
+class _Ints:
+    """F_p coefficients as plain ints in [0, p)."""
+
+    def __init__(self, ctx):
+        self.ctx, self.p = ctx, ctx.p
+        self.zero, self.one = 0, 1
+        self.reduce = ctx.p.__rmod__  # c -> c % p
+
+    def unwrap(self, f) -> list:
+        return [c.coeffs[0] for c in f]
+
+    def wrap(self, f) -> list:
+        el = self.ctx.el
+        return [el(c) for c in f]
+
+    def reduced(self, f) -> list:
+        p = self.p
+        return [c % p for c in f]
+
+    def inverse(self, c):
+        if c == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        return pow(c, -1, self.p)
+
+    def scalar(self, n: int):
+        return n % self.p
 
 
-def add(f, g, ctx):
-    n = max(len(f), len(g))
-    z = ctx.zero
-    return [
-        (f[i] if i < len(f) else z) + (g[i] if i < len(g) else z) for i in range(n)
-    ]
+class _Elements:
+    """F_{p^k} coefficients, k > 1: the FieldElements, already reduced."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.zero, self.one = ctx.zero, ctx.one
+
+    @staticmethod
+    def unwrap(f) -> list:
+        return list(f)
+
+    wrap = unwrap
+
+    @staticmethod
+    def reduce(c):
+        return c
+
+    @staticmethod
+    def reduced(f) -> list:
+        return f
+
+    @staticmethod
+    def inverse(c):
+        return c.inverse()
+
+    def scalar(self, n: int):
+        return self.ctx.el(n)
 
 
-def sub(f, g, ctx):
-    n = max(len(f), len(g))
-    z = ctx.zero
-    return [
-        (f[i] if i < len(f) else z) - (g[i] if i < len(g) else z) for i in range(n)
-    ]
+def _coeffs(ctx):
+    return _Ints(ctx) if ctx.k == 1 else _Elements(ctx)
 
 
-def mul(f, g, ctx):
-    out = [ctx.zero] * (len(f) + len(g) - 1)
+# ---------------------------------------------------------------------------
+# the algorithms, on raw coefficient lists (every returned list is reduced)
+# ---------------------------------------------------------------------------
+
+def _trim(f, zero) -> list:
+    n = len(f)
+    while n > 1 and f[n - 1] == zero:
+        n -= 1
+    return f[:n]
+
+
+def _zip(op, f, g, A) -> list:
+    """op coefficientwise, the shorter polynomial padded with zeros."""
+    return A.reduced([op(a, b) for a, b in zip_longest(f, g, fillvalue=A.zero)])
+
+
+def _mul(f, g, A) -> list:
+    zero = A.zero
+    out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a.is_zero():
+        if a == zero:
             continue
         for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
+            out[i + j] += a * b
+    return A.reduced(out)
 
 
-def divmod_(f, g, ctx):
-    f, g = trim(f, ctx), trim(g, ctx)
-    if g == [ctx.zero]:
+def _divmod(f, g, A):
+    zero, reduce = A.zero, A.reduce
+    r, g = _trim(f, zero), _trim(g, zero)
+    if g == [zero]:
         raise ZeroDivisionError("polynomial division by zero")
     n = len(g) - 1
-    if len(f) <= n:
-        return [ctx.zero], f
-    r = f[:]
-    q = [ctx.zero] * (len(f) - n)
-    inv_lead = g[-1].inverse()
-    for i in range(len(f) - 1, n - 1, -1):
-        coef = r[i]
-        if coef.is_zero():
+    if len(r) <= n:
+        return [zero], r
+    q = [zero] * (len(r) - n)
+    inv_lead = A.inverse(g[-1])
+    g = g[:n]  # r[i] itself cancels
+    for i in range(len(r) - 1, n - 1, -1):
+        coef = reduce(r[i])
+        if coef == zero:
             continue
-        coef = coef * inv_lead
+        coef = reduce(coef * inv_lead)
         q[i - n] = coef
-        for j in range(n):  # r[i] itself cancels
-            r[i - n + j] = r[i - n + j] - coef * g[j]
-    return trim(q, ctx), trim(r[:n] or [ctx.zero], ctx)
+        r[i - n:i] = [c - coef * b for c, b in zip(r[i - n:i], g)]
+    return _trim(q, zero), _trim(A.reduced(r[:n]) or [zero], zero)
 
 
-def powmod(base, exponent: int, modpoly, ctx):
-    result = [ctx.one]
-    b = divmod_(base, modpoly, ctx)[1]
+def _powmod(base, exponent: int, modpoly, A) -> list:
+    result = [A.one]
+    b = _divmod(base, modpoly, A)[1]
     e = exponent
     while e:
         if e & 1:
-            result = divmod_(mul(result, b, ctx), modpoly, ctx)[1]
-        b = divmod_(mul(b, b, ctx), modpoly, ctx)[1]
+            result = _divmod(_mul(result, b, A), modpoly, A)[1]
         e >>= 1
+        if e:
+            b = _divmod(_mul(b, b, A), modpoly, A)[1]
     return result
+
+
+def _monic(f, A) -> list:
+    f = _trim(f, A.zero)
+    if f[-1] == A.one:
+        return f
+    inv_lead = A.inverse(f[-1])
+    return A.reduced([c * inv_lead for c in f])
+
+
+def _gcd(f, g, A) -> list:
+    zero = A.zero
+    f, g = _trim(f, zero), _trim(g, zero)
+    while g != [zero]:
+        f, g = g, _divmod(f, g, A)[1]
+    if f != [zero]:
+        f = _monic(f, A)
+    return f
+
+
+# ---------------------------------------------------------------------------
+# public functions, on lists of FieldElements
+# ---------------------------------------------------------------------------
+
+def trim(f, ctx):
+    A = _coeffs(ctx)
+    return A.wrap(_trim(A.unwrap(f), A.zero))
+
+
+def add(f, g, ctx):
+    A = _coeffs(ctx)
+    return A.wrap(_zip(operator.add, A.unwrap(f), A.unwrap(g), A))
+
+
+def sub(f, g, ctx):
+    A = _coeffs(ctx)
+    return A.wrap(_zip(operator.sub, A.unwrap(f), A.unwrap(g), A))
+
+
+def mul(f, g, ctx):
+    A = _coeffs(ctx)
+    return A.wrap(_mul(A.unwrap(f), A.unwrap(g), A))
+
+
+def divmod_(f, g, ctx):
+    A = _coeffs(ctx)
+    q, r = _divmod(A.unwrap(f), A.unwrap(g), A)
+    return A.wrap(q), A.wrap(r)
+
+
+def powmod(base, exponent: int, modpoly, ctx):
+    A = _coeffs(ctx)
+    return A.wrap(_powmod(A.unwrap(base), exponent, A.unwrap(modpoly), A))
 
 
 def monic(f, ctx):
     """f scaled to leading coefficient 1 (f must be nonzero)."""
-    f = trim(f, ctx)
-    if f[-1] == ctx.one:
-        return f
-    inv_lead = f[-1].inverse()
-    return [c * inv_lead for c in f]
+    A = _coeffs(ctx)
+    return A.wrap(_monic(A.unwrap(f), A))
 
 
 def gcd(f, g, ctx):
-    f, g = trim(f, ctx), trim(g, ctx)
-    while g != [ctx.zero]:
-        f, g = g, divmod_(f, g, ctx)[1]
-    if f != [ctx.zero]:
-        f = monic(f, ctx)
-    return f
+    A = _coeffs(ctx)
+    return A.wrap(_gcd(A.unwrap(f), A.unwrap(g), A))
 
 
 def charpoly(num, den, m, ctx):
@@ -110,47 +222,56 @@ def charpoly(num, den, m, ctx):
     n = len(m) - 1
     if ctx.p <= n:
         raise ValueError(f"characteristic {ctx.p} does not exceed the degree {n}")
-    r0, r1, s0, s1 = m, divmod_(den, m, ctx)[1], [ctx.zero], [ctx.one]
-    while r1 != [ctx.zero]:  # invariant: s_i den = r_i modulo m
-        quo, rem = divmod_(r0, r1, ctx)
-        r0, r1, s0, s1 = r1, rem, s1, sub(s0, mul(quo, s1, ctx), ctx)
+    A = _coeffs(ctx)
+    zero, one, reduce = A.zero, A.one, A.reduce
+    num, den, m = A.unwrap(num), A.unwrap(den), A.unwrap(m)
+    r0, r1, s0, s1 = m, _divmod(den, m, A)[1], [zero], [one]
+    while r1 != [zero]:  # invariant: s_i den = r_i modulo m
+        quo, rem = _divmod(r0, r1, A)
+        r0, r1, s0, s1 = r1, rem, s1, _zip(operator.sub, s0, _mul(quo, s1, A), A)
     if len(r0) > 1:
         raise ZeroDivisionError("the denominator is no unit modulo m")
-    h = divmod_(mul(num, [c / r0[0] for c in s0], ctx), m, ctx)[1]
+    inv_r0 = A.inverse(r0[0])
+    h = _divmod(_mul(num, A.reduced([c * inv_r0 for c in s0]), A), m, A)[1]
 
     def newton(c, s, k):
-        return sum((c[n - i] * s[k - i] for i in range(1, k)), ctx.zero)
+        return sum((c[n - i] * s[k - i] for i in range(1, k)), zero)
 
-    s, t, power, c = [ctx.el(n)], [None], [ctx.one], [ctx.zero] * n + [ctx.one]
+    s, t, power, c = [A.scalar(n)], [None], [one], [zero] * n + [one]
     for k in range(1, n):
-        s.append(-(k * m[n - k] + newton(m, s, k)))
+        s.append(reduce(-(k * m[n - k] + newton(m, s, k))))
     for _ in range(n):
-        power = divmod_(mul(power, h, ctx), m, ctx)[1]
-        t.append(sum((a * b for a, b in zip(power, s)), ctx.zero))
+        power = _divmod(_mul(power, h, A), m, A)[1]
+        t.append(reduce(sum((a * b for a, b in zip(power, s)), zero)))
     for k in range(1, n + 1):
-        c[n - k] = -(t[k] + newton(c, t, k)) / k
-    return c
+        c[n - k] = reduce(-(t[k] + newton(c, t, k)) * A.inverse(A.scalar(k)))
+    return A.wrap(c)
 
 
 def from_roots(roots, ctx):
     """The monic polynomial with the given roots."""
-    f = [ctx.one]
-    for r in roots:
-        f = mul(f, [-r, ctx.one], ctx)
-    return f
+    A = _coeffs(ctx)
+    f = [A.one]
+    for r in A.unwrap(roots):
+        f = _mul(f, [A.reduce(-r), A.one], A)
+    return A.wrap(f)
 
 
 def derivative(f, ctx):
-    return [i * c for i, c in enumerate(f)][1:] or [ctx.zero]
+    A = _coeffs(ctx)
+    return A.wrap(A.reduced([i * c for i, c in enumerate(A.unwrap(f))][1:]) or [A.zero])
 
 
 def value_and_derivative(f, x):
     """(f(x), f'(x)) by one Horner pass."""
-    value, slope = f[-1], x.ctx.zero
+    A = _coeffs(x.ctx)
+    f, (x,) = A.unwrap(f), A.unwrap([x])
+    reduce = A.reduce
+    value, slope = f[-1], A.zero
     for c in reversed(f[:-1]):
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
+        slope = reduce(slope * x + value)
+        value = reduce(value * x + c)
+    return tuple(A.wrap([value, slope]))
 
 
 def factors(f, ctx, max_degree: int = 1) -> list:
@@ -165,32 +286,34 @@ def factors(f, ctx, max_degree: int = 1) -> list:
     keeps the powers short.  The rng has a fixed seed; the factors are
     unique anyway.
     """
-    f = trim(f, ctx)
-    if f == [ctx.zero]:
+    A = _coeffs(ctx)
+    zero, one = A.zero, A.one
+    f = _trim(A.unwrap(f), zero)
+    if f == [zero]:
         raise ValueError("the zero polynomial has no factorization")
-    x = [ctx.zero, ctx.one]
+    x = [zero, one]
     rng = random.Random(0)
-    rest, x_power, found = monic(f, ctx), x, []
+    rest, x_power, found = _monic(f, A), x, []
     for d in range(1, max_degree + 1):
         if len(rest) == 1:
             break
-        x_power = powmod(x_power, ctx.q, rest, ctx)  # x^(q^d) mod rest
-        g = gcd(rest, sub(x_power, x, ctx), ctx)
-        while len(common := gcd(rest, g, ctx)) > 1:  # every copy of each factor
-            rest = divmod_(rest, common, ctx)[0]
+        x_power = _powmod(x_power, ctx.q, rest, A)  # x^(q^d) mod rest
+        g = _gcd(rest, _zip(operator.sub, x_power, x, A), A)
+        while len(common := _gcd(rest, g, A)) > 1:  # every copy of each factor
+            rest = _divmod(rest, common, A)[0]
         half = (ctx.q**d - 1) // 2
         todo = [g]
         while todo:
             g = todo.pop()
             if len(g) - 1 == d:
-                found.append(g)
+                found.append(A.wrap(g))
                 continue
             while len(g) > 1:
                 width = 1 if d == 1 else len(g) - 1
-                a = [ctx.random_element(rng) for _ in range(width)] + [ctx.one]
-                h = gcd(g, sub(powmod(a, half, g, ctx), [ctx.one], ctx), ctx)
+                a = A.unwrap([ctx.random_element(rng) for _ in range(width)]) + [one]
+                h = _gcd(g, _zip(operator.sub, _powmod(a, half, g, A), [one], A), A)
                 if 1 < len(h) < len(g):
-                    todo += [h, divmod_(g, h, ctx)[0]]
+                    todo += [h, _divmod(g, h, A)[0]]
                     break
     return sorted(found, key=lambda g: (len(g), [c.coeffs for c in g]))
 
@@ -203,18 +326,19 @@ def roots(f, ctx) -> list:
 
 def is_irreducible(f, ctx) -> bool:
     """Rabin's test: generic factorization-free irreducibility oracle."""
-    f = trim(f, ctx)
+    A = _coeffs(ctx)
+    f = _trim(A.unwrap(f), A.zero)
     n = len(f) - 1
     if n <= 0:
         return False
-    f = monic(f, ctx)
+    f = _monic(f, A)
     if n == 1:
         return True
     q = ctx.q
-    x = [ctx.zero, ctx.one]
+    x = [A.zero, A.one]
     for r in sorted(set(factorint(n))):
-        h = sub(powmod(x, q ** (n // r), f, ctx), x, ctx)
-        if len(gcd(h, f, ctx)) > 1:
+        h = _zip(operator.sub, _powmod(x, q ** (n // r), f, A), x, A)
+        if len(_gcd(h, f, A)) > 1:
             return False
-    h = sub(powmod(x, q**n, f, ctx), x, ctx)
-    return trim(h, ctx) == [ctx.zero]
+    h = _zip(operator.sub, _powmod(x, q**n, f, A), x, A)
+    return _trim(h, A.zero) == [A.zero]

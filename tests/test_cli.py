@@ -101,6 +101,16 @@ class TestVerify:
         assert code == 0
         assert rows == [json.loads(line) for line in golden.read_text().splitlines()]
 
+    @pytest.mark.parametrize("scope", ["pairing", "radical", "all"])
+    def test_levels_refused_where_they_have_no_effect(self, capsys, scope):
+        # only groups and moduli have levels; elsewhere --n used to be ignored
+        code, out, err = run_cli(capsys, "verify", "--scope", scope, "--n", "5",
+                                 "--seed", "2")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "groups and moduli" in err and repr(scope) in err
+
     def test_timings_flag_adds_ms(self, capsys):
         _, out, _ = run_cli(
             capsys, "verify", "--scope", "groups", "--n", "4", "--timings"
@@ -251,6 +261,15 @@ class TestOtherCommands:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "at least 1" in err
+
+    def test_groups_resource_ceiling_exits_4(self, capsys):
+        # modulus 64 exceeds modgroup.SL2_ENUM_BOUND: a resource ceiling,
+        # not a usage error
+        code, out, err = run_cli(capsys, "groups", "--n", "8")
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "enumeration bound" in err
 
     def test_pairing_output(self, capsys):
         code, out, _ = run_cli(capsys, "pairing", "--p", "11", "--b", "2")

@@ -86,3 +86,22 @@ def test_names_the_benchmark_tracer_reads_exist():
                if not hasattr(importlib.import_module(f"radicant.{module}"), name)]
     assert traced and not missing, f"names the tracer reads are gone: {missing}"
     assert hasattr(DualIsogeny, "ext_ctx")
+
+
+def test_only_field_builds_elements():
+    # elements enter only through ctx.el and the other FieldCtx methods, so
+    # poly.py's raw coefficients (plain ints over F_p) are rebuilt at its
+    # boundary and nothing else constructs an element by hand
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = SOURCES + sorted((root / "scripts").glob("*.py")) + sorted(
+        pathlib.Path(__file__).parent.glob("*.py"))
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "FieldElement"
+    ]
+    assert SOURCES and not calls, f"FieldElement built outside field.py: {calls}"

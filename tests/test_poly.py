@@ -3,7 +3,7 @@ import random
 import pytest
 
 from radicant import poly
-from radicant.field import make_field
+from radicant.field import FieldElement, make_field
 
 
 def evaluate(f, x):
@@ -141,3 +141,98 @@ def test_factors_match_a_scan_of_monic_divisors(p, k):
         got = poly.factors(f, F, 2)
         assert got == sorted(expected, key=lambda g: (len(g), [c.coeffs for c in g]))
         assert poly.factors(f, F) == [g for g in got if len(g) == 2]
+
+
+# Property tests of the raw arithmetic against oracles that use only element
+# operators: Horner evaluation, the formal derivative and repeated products.
+# The primes span small p, p near 2^20, and p near 2^61, where the unreduced
+# sums of products run far past the word size before their one reduction.
+RAW_FIELDS = [(5, 1), (13, 1), (1048583, 1), (2305843009213693907, 1), (7, 2)]
+
+
+def random_poly(F, rng, degree):
+    f = [F.random_element(rng) for _ in range(degree)]
+    lead = F.random_element(rng)
+    return f + [F.one if lead.is_zero() else lead]
+
+
+def is_result(f, F):
+    """A nonempty list of elements of F, trimmed: no zero leading
+    coefficient unless f is the zero polynomial [0]."""
+    return (isinstance(f, list) and f
+            and all(isinstance(c, FieldElement) and c.ctx == F for c in f)
+            and (len(f) == 1 or not f[-1].is_zero()))
+
+
+def formal_derivative(f):
+    return [c * i for i, c in enumerate(f)][1:]
+
+
+@pytest.fixture(params=RAW_FIELDS, ids=lambda pk: f"F_{pk[0]}^{pk[1]}")
+def raw_field(request):
+    p, k = request.param
+    return make_field(p, k), random.Random(p + k)
+
+
+def test_mul_evaluates_to_the_product(raw_field):
+    F, rng = raw_field
+    for _ in range(15):
+        f, g = random_poly(F, rng, rng.randrange(6)), random_poly(F, rng, rng.randrange(6))
+        fg = poly.mul(f, g, F)
+        assert is_result(fg, F) and len(fg) == len(f) + len(g) - 1
+        for _ in range(4):
+            x = F.random_element(rng)
+            assert evaluate(fg, x) == evaluate(f, x) * evaluate(g, x)
+
+
+def test_divmod_reconstructs_the_dividend(raw_field):
+    F, rng = raw_field
+    for _ in range(15):
+        f, g = random_poly(F, rng, rng.randrange(9)), random_poly(F, rng, rng.randrange(5))
+        q, r = poly.divmod_(f, g, F)
+        assert is_result(q, F) and is_result(r, F)
+        assert len(r) < len(g) or (len(g) == 1 and r == [F.zero])
+        for _ in range(3):
+            x = F.random_element(rng)
+            assert evaluate(q, x) * evaluate(g, x) + evaluate(r, x) == evaluate(f, x)
+    for zero in ([F.zero], [F.zero, F.zero]):
+        with pytest.raises(ZeroDivisionError):
+            poly.divmod_(random_poly(F, rng, 3), zero, F)
+
+
+def test_powmod_equals_repeated_products(raw_field):
+    F, rng = raw_field
+    for _ in range(6):
+        m = random_poly(F, rng, rng.randrange(1, 5))
+        base = random_poly(F, rng, rng.randrange(7))
+        power = [F.one]
+        for e in range(7):
+            got = poly.powmod(base, e, m, F)
+            assert is_result(got, F)
+            assert got == poly.divmod_(power, m, F)[1]
+            power = poly.mul(power, base, F)
+
+
+def test_gcd_is_a_monic_common_divisor(raw_field):
+    F, rng = raw_field
+    for _ in range(10):
+        c = random_poly(F, rng, rng.randrange(1, 4))
+        f = poly.mul(c, random_poly(F, rng, rng.randrange(4)), F)
+        g = poly.mul(c, random_poly(F, rng, rng.randrange(4)), F)
+        d = poly.gcd(f, g, F)
+        assert is_result(d, F) and d[-1] == F.one
+        for h in (f, g):
+            assert poly.divmod_(h, d, F)[1] == [F.zero]
+        assert poly.divmod_(d, c, F)[1] == [F.zero]
+
+
+def test_value_and_derivative_match_naive_evaluation(raw_field):
+    F, rng = raw_field
+    for _ in range(15):
+        f = random_poly(F, rng, rng.randrange(8))
+        x = F.random_element(rng)
+        value, slope = poly.value_and_derivative(f, x)
+        assert all(isinstance(v, FieldElement) and v.ctx == F for v in (value, slope))
+        assert value == evaluate(f, x)
+        assert slope == evaluate(formal_derivative(f) or [F.zero], x)
+        assert poly.derivative(f, F) == (formal_derivative(f) or [F.zero])
