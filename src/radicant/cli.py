@@ -49,7 +49,10 @@ def _field_arg(args):
 def _parse_n_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        levels = tuple(range(int(lo), int(hi) + 1))
+        if not levels:
+            raise ValueError(f"empty level range {text!r}")
+        return levels
     return (int(text),)
 
 

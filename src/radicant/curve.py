@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from sympy import isprime
-
 from . import poly
 from .errors import (
     ContextMismatch,
@@ -28,7 +26,7 @@ from .errors import (
     TorsionUnavailable,
 )
 from .field import FieldCtx, FieldElement
-from .miscutil import order_dividing
+from .miscutil import isprime, order_dividing
 
 DEFAULT_ENUM_BOUND = 2_000_000
 

@@ -13,11 +13,9 @@ import operator
 import random
 from typing import Iterator, Sequence
 
-from sympy import factorint, isprime
-
 from . import poly
 from .errors import ContextMismatch, InvariantError, NoRootError, RadicantError
-from .miscutil import order_dividing
+from .miscutil import factorint, isprime, order_dividing
 
 MAX_FIELD_BITS = 63  # q = p^k must stay in a machine-word range
 
@@ -142,10 +140,12 @@ class FieldElement:
     # -- arithmetic ------------------------------------------------------
     #
     # Each binary operator first takes an operand of this very context, and
-    # over F_p an int, without building an intermediate element; the context
-    # identity test comes first, so F_{p^k} operands skip `_check` as well.
-    # Anything else goes through `_check`, which admits equal contexts from
-    # separate builds and raises ContextMismatch for the rest.
+    # an int, without building an intermediate element; the context identity
+    # test comes first, so F_{p^k} operands skip `_check` as well.  Over
+    # F_{p^k}, k > 1, an int shifts the constant coefficient (+, -) or scales
+    # every coefficient (*).  Anything else goes through `_check`, which
+    # admits equal contexts from separate builds and raises ContextMismatch
+    # for the rest.
 
     def __add__(self, other):
         ctx = self.ctx
@@ -154,6 +154,8 @@ class FieldElement:
                 return FieldElement(ctx, ((self.coeffs[0] + other.coeffs[0]) % ctx.p,))
         elif ctx.k == 1 and isinstance(other, int):
             return FieldElement(ctx, ((self.coeffs[0] + other) % ctx.p,))
+        elif isinstance(other, int):
+            return FieldElement(ctx, ((self.coeffs[0] + other) % ctx.p,) + self.coeffs[1:])
         else:
             other = self._check(other)
             if other is NotImplemented:
@@ -172,6 +174,8 @@ class FieldElement:
                 return FieldElement(ctx, ((self.coeffs[0] - other.coeffs[0]) % ctx.p,))
         elif ctx.k == 1 and isinstance(other, int):
             return FieldElement(ctx, ((self.coeffs[0] - other) % ctx.p,))
+        elif isinstance(other, int):
+            return FieldElement(ctx, ((self.coeffs[0] - other) % ctx.p,) + self.coeffs[1:])
         else:
             other = self._check(other)
             if other is NotImplemented:
@@ -185,6 +189,10 @@ class FieldElement:
         ctx = self.ctx
         if ctx.k == 1 and isinstance(other, int):
             return FieldElement(ctx, ((other - self.coeffs[0]) % ctx.p,))
+        if isinstance(other, int):
+            p = ctx.p
+            return FieldElement(ctx, ((other - self.coeffs[0]) % p,)
+                                + tuple(-a % p for a in self.coeffs[1:]))
         return ctx.el(other) - self
 
     def __neg__(self):
@@ -198,25 +206,14 @@ class FieldElement:
                 return FieldElement(ctx, (self.coeffs[0] * other.coeffs[0] % ctx.p,))
         elif ctx.k == 1 and isinstance(other, int):
             return FieldElement(ctx, (self.coeffs[0] * other % ctx.p,))
+        elif isinstance(other, int):
+            p = ctx.p
+            return FieldElement(ctx, tuple(a * other % p for a in self.coeffs))
         else:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
-        p, k = ctx.p, ctx.k
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        mod = ctx.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for j in range(k):
-                    prod[d - k + j] -= c * mod[j]
-            prod[d] = 0
-        return FieldElement(ctx, tuple(c % p for c in prod[:k]))
+        return FieldElement(ctx, _mul_raw(self.coeffs, other.coeffs, ctx.p, ctx.modulus))
 
     __rmul__ = __mul__
 
@@ -229,22 +226,16 @@ class FieldElement:
         # the conjugates a^(p^i), i = 1..k-1, and the norm N(a) = a^r lies
         # in F_p, so a^-1 = a^(r-1) / N(a) needs one inversion in F_p; only
         # a = 0 has norm 0
-        conj = rest = self._frobenius()
+        modulus, frobenius = ctx.modulus, ctx.frobenius
+        conj = rest = _frobenius(self.coeffs, p, frobenius)
         for _ in range(k - 2):
-            conj = conj._frobenius()
-            rest = rest * conj
-        norm = self * rest
-        if any(norm.coeffs[1:]):
+            conj = _frobenius(conj, p, frobenius)
+            rest = _mul_raw(rest, conj, p, modulus)
+        norm = _mul_raw(self.coeffs, rest, p, modulus)
+        if any(norm[1:]):
             raise InvariantError(f"norm of {self!r} is not in the prime field")
-        n_inv = _inverse_mod(norm.coeffs[0], p)
-        return FieldElement(ctx, tuple(c * n_inv % p for c in rest.coeffs))
-
-    def _frobenius(self) -> "FieldElement":
-        """a^p, as the Frobenius matrix applied to the coefficient vector."""
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple(
-            sum(map(operator.mul, self.coeffs, col)) % p for col in self.ctx.frobenius
-        ))
+        n_inv = _inverse_mod(norm[0], p)
+        return FieldElement(ctx, tuple(c * n_inv % p for c in rest))
 
     def __truediv__(self, other):
         ctx = self.ctx
@@ -272,15 +263,18 @@ class FieldElement:
             return self.inverse() ** (-exponent)
         if self.ctx.k == 1:
             return FieldElement(self.ctx, (pow(self.coeffs[0], exponent, self.ctx.p),))
-        result = self.ctx.one
-        base = self
+        # square-and-multiply on raw tuples, with one element at the end
+        ctx = self.ctx
+        p, modulus = ctx.p, ctx.modulus
+        result, base = ctx.one.coeffs, self.coeffs
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _mul_raw(result, base, p, modulus)
             e >>= 1
-        return result
+            if e:
+                base = _mul_raw(base, base, p, modulus)
+        return FieldElement(ctx, result)
 
     # -- comparison ------------------------------------------------------
 
@@ -301,6 +295,44 @@ class FieldElement:
         if self.ctx.k == 1:
             return f"{self.coeffs[0]}"
         return f"{list(self.coeffs)}"
+
+
+def _mul_raw(x: tuple, y: tuple, p: int, modulus: tuple) -> tuple:
+    """x * y in F_p[t]/(modulus) on coefficient tuples of length k > 1.
+
+    For k = 2 the product is written out: with t^2 = -m1 t - m0, the t^2
+    coefficient c2 = a1 b1 folds back into the two lower ones.
+    """
+    if len(x) == 2:
+        a0, a1 = x
+        b0, b1 = y
+        c2 = a1 * b1
+        return ((a0 * b0 - c2 * modulus[0]) % p, (a0 * b1 + a1 * b0 - c2 * modulus[1]) % p)
+    return _mul_schoolbook(x, y, p, modulus)
+
+
+def _mul_schoolbook(x: tuple, y: tuple, p: int, modulus: tuple) -> tuple:
+    """x * y for any k: the full product, reduced from the top degree
+    down; the reference the k = 2 form of `_mul_raw` is tested against."""
+    k = len(x)
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        if c:
+            for j in range(k):
+                prod[d - k + j] -= c * modulus[j]
+        prod[d] = 0
+    return tuple(c % p for c in prod[:k])
+
+
+def _frobenius(x: tuple, p: int, frobenius: tuple) -> tuple:
+    """x^p, as the Frobenius matrix (by columns) applied to the coefficients."""
+    return tuple(sum(map(operator.mul, x, col)) % p for col in frobenius)
 
 
 def _inverse_mod(c: int, p: int) -> int:

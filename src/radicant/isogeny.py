@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from sympy import isprime
-
 from . import poly
 from .curve import (
     O,
@@ -40,6 +38,7 @@ from .curve import (
     isomorphism_with_scale,
 )
 from .errors import RadicantError
+from .miscutil import isprime
 
 
 @dataclass(frozen=True)

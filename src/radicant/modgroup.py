@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import EnumerationBound
+from .miscutil import factorint
 
 SL2_ENUM_BOUND = 50  # default ceiling for the modulus M
 
@@ -144,8 +145,6 @@ def sl2_count(M: int, bound: int = SL2_ENUM_BOUND) -> int:
 
 def sl2_count_formula(M: int) -> int:
     """The classical closed form M^3 prod_{p | M} (1 - p^-2)."""
-    from sympy import factorint
-
     n = M**3
     for p in factorint(M):
         n = n // (p * p) * (p * p - 1)

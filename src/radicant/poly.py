@@ -23,7 +23,7 @@ import operator
 import random
 from itertools import zip_longest
 
-from sympy import factorint
+from .miscutil import factorint
 
 
 class _Ints:

@@ -24,6 +24,7 @@ from .curve import (
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
 from .isogeny import cached_dual, distinguished_points, velu
+from .miscutil import isprime
 
 # b' = alpha num(alpha) / den(alpha) for a fifth root alpha of b, constant first
 _STEP_NUM = (1, 2, 4, 3, 1)
@@ -211,8 +212,6 @@ def velu_reference_step(b: FieldElement) -> list:
 def radical_poly_irreducible(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:
     """Is x^n - rho irreducible?  For prime n this holds exactly when n
     divides q - 1 and rho is not an n-th power."""
-    from sympy import isprime
-
     if not isprime(n):
         raise ValueError("only prime radical degrees are supported")
     rho = ctx.el(rho) if not isinstance(rho, FieldElement) else rho

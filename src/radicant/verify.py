@@ -734,13 +734,17 @@ _RUNNERS = {
 
 def run_scope(scope: str, n_values=None, seed: int = 0) -> list:
     """The rows of one scope; `n_values` replaces the default levels of
-    groups and moduli, and is refused for the other scopes.  "all"
-    concatenates every scope, in SCOPES order, at its default levels."""
+    groups and moduli, and is refused for the other scopes and when it
+    holds no level.  "all" concatenates every scope, in SCOPES order, at its
+    default levels."""
     if scope != "all" and scope not in _RUNNERS:
         raise ValueError(f"unknown scope {scope!r}")
-    if n_values and scope not in ("groups", "moduli"):
-        raise ValueError(f"--n sets the levels of the scopes groups and moduli only, "
-                         f"not of {scope!r}")
+    if n_values is not None:
+        if scope not in ("groups", "moduli"):
+            raise ValueError(f"--n sets the levels of the scopes groups and moduli only, "
+                             f"not of {scope!r}")
+        if not n_values:
+            raise ValueError("no level given")
     if scope == "all":
         return [r for s in SCOPES for r in run_scope(s, seed=seed)]
-    return _RUNNERS[scope]({"n_values": n_values} if n_values else {}, seed)
+    return _RUNNERS[scope]({} if n_values is None else {"n_values": n_values}, seed)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from radicant import verify
 from radicant.cli import main
 
 
@@ -110,6 +111,21 @@ class TestVerify:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "groups and moduli" in err and repr(scope) in err
+
+    @pytest.mark.parametrize("scope", ["groups", "moduli", "radical"])
+    def test_empty_level_range_refused(self, capsys, scope):
+        # 7..5 holds no level; it used to run the default levels and exit 0
+        code, out, err = run_cli(capsys, "verify", "--scope", scope, "--n", "7..5")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "empty level range '7..5'" in err
+
+    @pytest.mark.parametrize("scope", ["groups", "moduli"])
+    def test_run_scope_refuses_no_levels(self, scope):
+        # an empty level list is no "default levels" request
+        with pytest.raises(ValueError, match="no level given"):
+            verify.run_scope(scope, n_values=())
 
     def test_timings_flag_adds_ms(self, capsys):
         _, out, _ = run_cli(
@@ -261,6 +277,14 @@ class TestOtherCommands:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "at least 1" in err
+
+    def test_groups_empty_level_range(self, capsys):
+        # 7..5 used to print {"groups":[]} and exit 0
+        code, out, err = run_cli(capsys, "groups", "--n", "7..5")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "empty level range '7..5'" in err
 
     def test_groups_resource_ceiling_exits_4(self, capsys):
         # modulus 64 exceeds modgroup.SL2_ENUM_BOUND: a resource ceiling,

@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radicant.errors import ContextMismatch, NoRootError
-from radicant.field import arith, make_field, multiplicative_order, nth_roots
+from radicant.field import (
+    _mul_raw,
+    _mul_schoolbook,
+    arith,
+    make_field,
+    multiplicative_order,
+    nth_roots,
+)
 
 
 def brute_roots(ctx, rho, n):
@@ -224,6 +231,54 @@ class TestOperatorsAgainstInts:
             if not a.is_zero():
                 assert b2 / a == b / a
             assert (a == b2) is (a == b)
+
+
+class TestExtensionRawArithmetic:
+    # the written-out k = 2 product against the schoolbook loop that serves
+    # every k >= 3, called directly: the modulus need not be irreducible for
+    # the two to agree, so p near 2^31 needs no make_field
+    @pytest.mark.parametrize("p", [5, 7, 1013, 2147483659])
+    def test_k2_product_matches_schoolbook(self, p):
+        rng = random.Random(p)
+
+        def coeff():
+            return rng.choice((0, 1, p - 1)) if rng.random() < 0.2 else rng.randrange(p)
+
+        for _ in range(500):
+            x, y = (coeff(), coeff()), (coeff(), coeff())
+            modulus = (coeff(), coeff(), 1)
+            assert _mul_raw(x, y, p, modulus) == _mul_schoolbook(x, y, p, modulus)
+
+    @pytest.mark.parametrize("pk", [(5, 2), (7, 2), (1013, 2), (7, 3)])
+    def test_int_operands_match_elements(self, pk):
+        # x op n takes the coefficients directly; ctx.el(n) is the oracle
+        F = make_field(*pk)
+        p = F.p
+        rng = random.Random(repr(pk))
+        ints = [0, 1, -1, p, -p, p - 1, 2 * p + 3] + [rng.randrange(-p * p, p * p)
+                                                      for _ in range(30)]
+        for _ in range(40):
+            x = F.random_element(rng)
+            for n in ints:
+                y = F.el(n)
+                for got, expected in ((x * n, x * y), (n * x, y * x), (x + n, x + y),
+                                      (n + x, y + x), (x - n, x - y), (n - x, y - x)):
+                    assert got.ctx is F and got.coeffs == expected.coeffs
+                    assert all(0 <= c < p for c in got.coeffs)
+
+    @pytest.mark.parametrize("pk", [(5, 2), (7, 2), (1013, 2), (7, 3)])
+    def test_pow_matches_repeated_products(self, pk):
+        F = make_field(*pk)
+        rng = random.Random(repr(pk))
+        for _ in range(10):
+            x = F.random_element(rng)
+            power = F.one
+            for e in range(40):
+                got = x**e
+                assert got.ctx is F and got.coeffs == power.coeffs
+                power = power * x
+            a, b = rng.randrange(F.q**2), rng.randrange(F.q**2)
+            assert x ** (a + b) == x**a * x**b
 
 
 class TestNthRoots:

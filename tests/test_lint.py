@@ -4,11 +4,22 @@ import ast
 import importlib
 import pathlib
 import re
+import subprocess
+import sys
 
 import radicant
 from radicant.isogeny import DualIsogeny
 
 SOURCES = sorted(pathlib.Path(radicant.__file__).parent.glob("*.py"))
+
+
+def test_import_loads_no_sympy():
+    # sympy serves the tests as an oracle; the library and its CLI load none of it
+    package_root = pathlib.Path(radicant.__file__).resolve().parent.parent
+    code = "import sys, radicant.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=package_root, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_library_has_no_assert():
