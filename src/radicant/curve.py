@@ -80,6 +80,11 @@ class Point:
 O = Point.infinity()
 
 
+def _discriminant(b2, b4, b6, b8) -> FieldElement:
+    """The discriminant from the b-invariants."""
+    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over a fixed field."""
@@ -111,13 +116,12 @@ class WeierstrassCurve:
         return b2, b4, b6, b8
 
     def discriminant(self) -> FieldElement:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return _discriminant(*self.b_invariants())
 
     def j_invariant(self) -> FieldElement:
         b2, b4, b6, b8 = self.b_invariants()
         c4 = b2 * b2 - 24 * b4
-        return c4**3 / self.discriminant()
+        return c4**3 / _discriminant(b2, b4, b6, b8)
 
     # -- point predicates -------------------------------------------------
 

@@ -5,9 +5,13 @@ the congruence conditions defining them, and reduction mod M is surjective
 onto the matrices satisfying those conditions, so orders, indices and
 normality can be decided exhaustively.
 
+Both enumerators solve the determinant congruence a*d = 1 + b*c (mod M) for
+d once per a: one table gives the solutions for every right-hand side, so
+the (b, c) loops only look them up.
+
 The members of a subgroup are generated from its congruences: a, b and c
-step through their residue classes and d is solved from the determinant, so
-only members are ever visited, in the lexicographic (a, b, c, d) order of
+step through their residue classes and d is read from that table, so only
+members are ever visited, in the lexicographic (a, b, c, d) order of
 ``sl2_elements``.  Filtering ``sl2_elements`` through ``member`` is the
 independent oracle the tests compare that generator against.
 """
@@ -116,14 +120,17 @@ def member(m: Mat2, s: SubgroupSpec) -> bool:
     return c % (N * N) == 0 and a % N == one and d % N == one
 
 
-def _solve_d(a: int, rhs: int, M: int) -> list:
-    """All d with a*d = rhs (mod M)."""
+def _d_solutions(a: int, M: int) -> list:
+    """Entry rhs lists every d with a*d = rhs (mod M), ascending.
+
+    With g = gcd(a, M), the congruence is solvable exactly when g | rhs, and
+    its solutions are d0 + j*(M/g) for j < g, d0 = (rhs/g)(a/g)^-1 mod M/g.
+    """
     g = math.gcd(a, M)
-    if rhs % g != 0:
-        return []
     Mg = M // g
-    d0 = (rhs // g) * pow(a // g, -1, Mg) % Mg
-    return [d0 + j * Mg for j in range(g)]
+    inv = pow(a // g, -1, Mg)
+    return [range(rhs // g * inv % Mg, M, Mg) if rhs % g == 0 else ()
+            for rhs in range(M)]
 
 
 def sl2_elements(M: int, bound: int = SL2_ENUM_BOUND) -> Iterator[tuple]:
@@ -131,10 +138,10 @@ def sl2_elements(M: int, bound: int = SL2_ENUM_BOUND) -> Iterator[tuple]:
     if M > bound:
         raise EnumerationBound(f"modulus {M} exceeds the enumeration bound {bound}")
     for a in range(M):
+        d_of = _d_solutions(a, M)
         for b in range(M):
             for c in range(M):
-                rhs = (1 + b * c) % M
-                for d in _solve_d(a, rhs, M):
+                for d in d_of[(1 + b * c) % M]:
                     yield (a, b, c, d)
 
 
@@ -176,9 +183,10 @@ def _members(s: SubgroupSpec, bound: int) -> Iterator[tuple]:
     n_a, n_b, n_c, n_d = (s.N**e for e in _CONGRUENCE_STEPS[s.kind])
     one_d = 1 % n_d
     for a in range(1 % n_a, M, n_a):
+        d_of = _d_solutions(a, M)
         for b in range(0, M, n_b):
             for c in range(0, M, n_c):
-                for d in _solve_d(a, (1 + b * c) % M, M):
+                for d in d_of[(1 + b * c) % M]:
                     if d % n_d == one_d:
                         yield (a, b, c, d)
 

@@ -19,11 +19,10 @@ from .curve import (
     degree5_curve,
     find_isomorphism,
     has_order,
-    normal_form_discriminant,
     to_tate_normal,
     TateParams,
 )
-from .errors import DegenerateParams, InvariantError
+from .errors import ContextMismatch, DegenerateParams, InvariantError
 from .field import FieldElement
 from .isogeny import evaluate, velu
 
@@ -219,14 +218,15 @@ def gamma0_invariant(b: FieldElement) -> FieldElement:
 def gamma0_equiv(b1: FieldElement, b2: FieldElement) -> bool:
     """Are (E_b1, <(0,0)>) and (E_b2, <(0,0)>) isomorphic as marked pairs?
 
-    Decided by exhaustive isomorphism search with the subgroup constraint.
+    Curves with different j-invariants are not isomorphic at all, so such a
+    pair is answered False before any subgroup is built.  Otherwise the
+    answer is the exhaustive isomorphism search with the subgroup
+    constraint.  An invalid b raises DegenerateParams from `degree5_curve`.
     """
-    for b in (b1, b2):
-        if b.is_zero() or normal_form_discriminant(b, b).is_zero():
-            raise DegenerateParams("invalid degree-5 parameter")
+    if b1.ctx != b2.ctx:
+        raise ContextMismatch("gamma0_equiv needs a common base field")
     E1, E2 = degree5_curve(b1), degree5_curve(b2)
-    zero = b1.ctx.zero
-    s1 = E1.subgroup(Point(zero, zero))
-    s2 = E2.subgroup(Point(zero, zero))
-    iso = find_isomorphism(E1, E2, subgroup_map=(s1, s2))
-    return iso is not None
+    if E1.j_invariant() != E2.j_invariant():
+        return False
+    P = Point(b1.ctx.zero, b1.ctx.zero)
+    return find_isomorphism(E1, E2, subgroup_map=(E1.subgroup(P), E2.subgroup(P))) is not None

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from radicant.errors import EnumerationBound
@@ -56,6 +58,13 @@ class TestCounts:
     def test_stream_members_have_det_one(self):
         for a, b, c, d in sl2_elements(8):
             assert (a * d - b * c) % 8 == 1
+
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_stream_equals_brute_force(self, M):
+        # every 4-tuple filtered on the determinant, in the same order
+        expected = [t for t in itertools.product(range(M), repeat=4)
+                    if (t[0] * t[3] - t[1] * t[2]) % M == 1 % M]
+        assert list(sl2_elements(M)) == expected
 
 
 class TestMembership:

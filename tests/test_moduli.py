@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from radicant.curve import (
     Point,
+    WeierstrassCurve,
     degree5_curve,
+    enum_bound,
+    find_isomorphism,
+    normal_form_discriminant,
     point_order,
     rational_point_of_order,
     torsion_basis,
 )
-from radicant.errors import DegenerateParams
+from radicant.errors import ContextMismatch, DegenerateParams, EnumerationBound
 from radicant.field import make_field
 from radicant.isogeny import is_distinguished
 from radicant.moduli import (
@@ -267,5 +271,56 @@ class TestGamma0Equivalence:
         assert not gamma0_equiv(F11.el(2), F11.el(3))
 
     def test_invalid_rejected(self, F11):
-        with pytest.raises(DegenerateParams):
-            gamma0_equiv(F11.zero, F11.el(2))
+        # b = 0 and the roots of b^2 - 11b - 1 = b^2 - 1 over F_11, either side
+        invalid = [b for b in F11.elements() if normal_form_discriminant(b, b).is_zero()]
+        assert invalid == [F11.zero, F11.one, F11.el(10)]
+        for b in invalid:
+            with pytest.raises(DegenerateParams):
+                gamma0_equiv(b, F11.el(2))
+            with pytest.raises(DegenerateParams):
+                gamma0_equiv(F11.el(2), b)
+
+    def test_mixed_fields_rejected(self, F11, F13):
+        with pytest.raises(ContextMismatch):
+            gamma0_equiv(F11.el(2), F13.el(2))
+
+    def test_distinct_j_above_enumeration_bound(self):
+        F = make_field(2147483659)
+        assert F.q > enum_bound()
+        b1, b2 = F.el(2), F.el(3)
+        assert degree5_curve(b1).j_invariant() != degree5_curve(b2).j_invariant()
+        assert gamma0_equiv(b1, b2) is False
+        with pytest.raises(EnumerationBound):
+            gamma0_equiv(b1, b1)
+
+    def test_distinct_j_builds_no_subgroup(self, F31, monkeypatch):
+        calls = []
+        original = WeierstrassCurve.subgroup
+        monkeypatch.setattr(WeierstrassCurve, "subgroup",
+                            lambda self, P: calls.append(P) or original(self, P))
+        b1, b2 = F31.el(2), F31.el(3)
+        assert degree5_curve(b1).j_invariant() != degree5_curve(b2).j_invariant()
+        assert gamma0_equiv(b1, b2) is False
+        assert calls == []
+        assert gamma0_equiv(b1, b1) is True
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p,k,n_equiv,n_unmarked", [(11, 1, 16, 0), (31, 1, 56, 8), (7, 2, 90, 0)])
+def test_gamma0_equiv_matches_constrained_search(p, k, n_equiv, n_unmarked):
+    # the full subgroup-constrained isomorphism search, for every valid pair;
+    # n_unmarked counts isomorphic curves whose marked subgroups do not
+    # correspond, the pairs a search without the constraint gets wrong
+    F = make_field(p, k)
+    P = Point(F.zero, F.zero)
+    marked = [(b, degree5_curve(b)) for b in F.nonzero_elements()
+              if not normal_form_discriminant(b, b).is_zero()]
+    subgroups = [E.subgroup(P) for _, E in marked]
+    equiv = unmarked = 0
+    for (b1, E1), s1 in zip(marked, subgroups):
+        for (b2, E2), s2 in zip(marked, subgroups):
+            expected = find_isomorphism(E1, E2, subgroup_map=(s1, s2)) is not None
+            assert gamma0_equiv(b1, b2) == expected, (b1, b2)
+            equiv += expected
+            unmarked += not expected and find_isomorphism(E1, E2) is not None
+    assert (equiv, unmarked) == (n_equiv, n_unmarked)
