@@ -15,7 +15,7 @@ import time
 
 from . import curve as curve_mod
 from . import modgroup, verify
-from .curve import Point, degree5_curve, normal_form_discriminant
+from .curve import Point, degree5_curve
 from .errors import (
     DegenerateParams,
     DegenerateStep,
@@ -145,8 +145,6 @@ def cmd_groups(args) -> int:
 def cmd_pairing(args) -> int:
     ctx = _field_arg(args)
     b = ctx.el(args.b)
-    if b.is_zero() or normal_form_discriminant(b, b).is_zero():
-        raise DegenerateParams("invalid degree-5 parameter")
     E = degree5_curve(b)
     P = Point(ctx.zero, ctx.zero)
     value = miller(E, P, E.neg(P), 5)
@@ -170,8 +168,6 @@ def cmd_pairing(args) -> int:
 def cmd_tnf(args) -> int:
     ctx = _field_arg(args)
     b = ctx.el(args.b)
-    if b.is_zero() or normal_form_discriminant(b, b).is_zero():
-        raise DegenerateParams("invalid degree-5 parameter")
     E = degree5_curve(b)
     P = Point(ctx.zero, ctx.zero)
     subgroup = E.subgroup(P)

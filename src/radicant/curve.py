@@ -10,6 +10,7 @@ marked point at (0,0), and exact isomorphism search between curves.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -429,23 +430,23 @@ def division_polynomial(E: WeierstrassCurve, n: int) -> list:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"division polynomials are built for odd n >= 1, got {n}")
-    ctx = E.ctx
-    b2, b4, b6, b8 = E.b_invariants()
-    psi2_sq = [b6, 2 * b4, b2, ctx.el(4)]
-    psi2_4th = poly.mul(psi2_sq, psi2_sq, ctx)
+    A = poly._coeffs(E.ctx)
+    b2, b4, b6, b8 = A.unwrap(E.b_invariants())
+    psi2_sq = A.reduced([b6, 2 * b4, b2, A.scalar(4)])
+    psi2_4th = poly._mul(psi2_sq, psi2_sq, A)
     f = {
-        0: [ctx.zero],
-        1: [ctx.one],
-        2: [ctx.one],
-        3: [b8, 3 * b6, 3 * b4, b2, ctx.el(3)],
-        4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2,
-            ctx.el(2)],
+        0: [A.zero],
+        1: [A.one],
+        2: [A.one],
+        3: A.reduced([b8, 3 * b6, 3 * b4, b2, A.scalar(3)]),
+        4: A.reduced([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2,
+                      A.scalar(2)]),
     }
 
     def mul(*factors):
         out = factors[0]
         for g in factors[1:]:
-            out = poly.mul(out, g, ctx)
+            out = poly._mul(out, g, A)
         return out
 
     def get(m):
@@ -457,17 +458,17 @@ def division_polynomial(E: WeierstrassCurve, n: int) -> list:
                 hi = mul(get(k + 2), get(k), get(k), get(k))
                 lo = mul(get(k - 1), get(k + 1), get(k + 1), get(k + 1))
                 if k % 2 == 0:
-                    hi = poly.mul(psi2_4th, hi, ctx)
+                    hi = poly._mul(psi2_4th, hi, A)
                 else:
-                    lo = poly.mul(psi2_4th, lo, ctx)
-                f[m] = poly.sub(hi, lo, ctx)
+                    lo = poly._mul(psi2_4th, lo, A)
+                f[m] = poly._zip(operator.sub, hi, lo, A)
             else:
-                f[m] = poly.mul(get(k), poly.sub(
-                    mul(get(k + 2), get(k - 1), get(k - 1)),
-                    mul(get(k - 2), get(k + 1), get(k + 1)), ctx), ctx)
+                f[m] = poly._mul(get(k), poly._zip(
+                    operator.sub, mul(get(k + 2), get(k - 1), get(k - 1)),
+                    mul(get(k - 2), get(k + 1), get(k + 1)), A), A)
         return f[m]
 
-    return poly.trim(get(n), ctx)
+    return A.wrap(poly._trim(get(n), A.zero))
 
 
 def points_of_order(E: WeierstrassCurve, N: int) -> list:

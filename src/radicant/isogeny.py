@@ -6,23 +6,27 @@ by Kohel's formulas (Kohel, Endomorphism rings of elliptic curves over
 finite fields, 1996, section 2.4), and y o phi from the invariant
 differential, which phi keeps.  `velu` takes D from the multiples of a
 kernel point, where these become Velu's sums (C. R. Acad. Sci. Paris 273,
-1971).
+1971).  The polynomial work runs on poly.py's raw coefficient lists.
 
-The dual of phi of odd prime degree N is built over the base field: its
-kernel phi(E[N]) is Galois-stable, so its kernel polynomial is a
-degree-(N-1)/2 divisor of psi_N of the codomain.  A candidate iso o psi,
-with psi the isogeny of such a divisor, is the dual exactly when
+The dual of phi of odd prime degree N is built over the base field, in
+closed form: its kernel polynomial D^ follows from traces of the x-map of
+phi modulo the factor of psi_N(E) prime to D, by Newton's identities
+(`dual_isogeny`).  Nothing is factored, searched, enumerated or sampled, and
+no extension field is built.  The candidate iso o psi, with psi the isogeny
+of D^ and iso the isomorphism of scale N onto E, is then proved to be the
+dual (`_verify_dual`):
   (a) ker(psi o phi) = E[N], an identity of kernel polynomials over the base
       field against psi_N; and
   (b) iso scales the invariant differential by u = N, as [N] does.
 (a) gives psi o phi = lambda o [N] for an isomorphism lambda, and (b) makes
-iso o lambda the automorphism with scale 1, the identity for p >= 5.  The
-check enumerates and samples no points, and no extension field is built;
-nor does `distinguished_points`, which lists the rational points only.
+iso o lambda the automorphism with scale 1, the identity for p >= 5.
+`distinguished_points` lists the rational points over the rational roots of
+the dual's fibre polynomial over +-K, of degree N.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +41,20 @@ from .curve import (
     has_order,
     isomorphism_with_scale,
 )
-from .errors import RadicantError
+from .errors import InvariantError
 from .miscutil import isprime
+from .poly import (
+    _coeffs,
+    _derivative,
+    _divmod,
+    _from_power_sums,
+    _gcd,
+    _monic,
+    _mul,
+    _power_traces,
+    _trim,
+    _zip,
+)
 
 
 @dataclass(frozen=True)
@@ -71,30 +87,35 @@ def from_kernel_polynomial(
     / g, and the squared terms are minus its derivative.  The codomain is
     a4 - 5t, a6 - b2 t - 7w, where x o phi = x + t/x + w/x^2 + O(x^-3).
     """
-    ctx = E.ctx
+    A = _coeffs(E.ctx)
     b2, b4, b6, _ = E.b_invariants()
-    f = [b6, 2 * b4, b2, ctx.el(4)]
-    T = [b4, b2, ctx.el(6)]
+    f = A.reduced(A.unwrap([b6, 2 * b4, b2]) + [A.scalar(4)])
+    T = A.reduced(A.unwrap([b4, b2]) + [A.scalar(6)])
+    kernel = tuple(D)
+    D = A.unwrap(kernel)
     d = len(D) - 1
-    D2 = poly.gcd(D, f, ctx)  # the 2-torsion roots
+    D2 = _gcd(D, f, A)  # the 2-torsion roots
 
     def over_roots(h, g):
-        return poly.divmod_(poly.mul(h, poly.derivative(g, ctx), ctx), g, ctx)[1]
+        return _divmod(_mul(h, _derivative(g, A), A), g, A)[1]
 
-    dD = poly.derivative(D, ctx)
+    def sub(g, h):
+        return _zip(operator.sub, g, h, A)
+
     R_f = over_roots(f, D)
-    half_2torsion = poly.mul(poly.divmod_(D, D2, ctx)[0], over_roots(T, D2), ctx)
-    inner = poly.sub(poly.sub(over_roots(T, D), [c / 2 for c in half_2torsion], ctx),
-                     poly.derivative(R_f, ctx), ctx)
+    half = A.inverse(A.scalar(2))
+    half_2torsion = [c * half for c in _mul(_divmod(D, D2, A)[0], over_roots(T, D2), A)]
+    inner = sub(sub(over_roots(T, D), half_2torsion), _derivative(R_f, A))
     # rest = D^2 (x o phi - x), of degree below 2d
-    rest = poly.add(poly.mul(D, inner, ctx), poly.mul(R_f, dD, ctx), ctx)
-    rest += [ctx.zero] * (2 * d - len(rest))
+    rest = _zip(operator.add, _mul(D, inner, A), _mul(R_f, _derivative(D, A), A), A)
+    rest += [A.zero] * (2 * d - len(rest))
     t = rest[2 * d - 1]
     w = rest[2 * d - 2] - 2 * D[d - 1] * t
-    num = poly.add(poly.mul([ctx.zero, ctx.one], poly.mul(D, D, ctx), ctx), rest, ctx)
+    num = _zip(operator.add, [A.zero] + _mul(D, D, A), rest, A)
+    t, w = A.wrap(A.reduced([t, w]))
     codomain = WeierstrassCurve(E.a1, E.a2, E.a3, E.a4 - 5 * t, E.a6 - b2 * t - 7 * w)
     degree = 2 * d + 2 - len(D2)  # two points per root, one per 2-torsion root, plus O
-    return Isogeny(E, codomain, degree, tuple(D), tuple(num), kernel_generator)
+    return Isogeny(E, codomain, degree, kernel, tuple(A.wrap(num)), kernel_generator)
 
 
 def velu(E: WeierstrassCurve, K: Point) -> Isogeny:
@@ -142,9 +163,6 @@ class DualIsogeny:
     forward: Isogeny
     quotient: Isogeny  # codomain -> codomain/phi(E[N])
     back_iso: CurveIso  # isomorphism from the quotient codomain onto E
-    # the rational order-N points of forward.codomain, as dual_isogeny found
-    # them; the distinguished points are read off them, not off psi_N again
-    codomain_torsion: tuple = ()
 
     @property
     def ext_ctx(self):
@@ -160,19 +178,20 @@ def composition_kernel_polynomial(phi: Isogeny, D_psi) -> list:
     """The kernel polynomial of psi o phi, for psi's D_psi = sum c_i x^i of
     degree d: D * sum c_i num^i D^(2(d-i)) where x o phi = num / D^2, monic
     and vanishing once at each x(X), X in ker(psi o phi) - {O}."""
-    base = phi.domain.ctx
-    num, D = phi.x_numerator, phi.kernel_polynomial
-    D_sq = poly.mul(D, D, base)
+    A = _coeffs(phi.domain.ctx)
+    num, D, D_psi = (A.unwrap(f) for f in (phi.x_numerator, phi.kernel_polynomial, D_psi))
+    D_sq = _mul(D, D, A)
     # homogeneous Horner: acc_j = sum_{i >= j} c_i num^(i-j) (D^2)^(d-i)
-    acc, D_sq_pow = [D_psi[-1]], [base.one]
+    acc, D_sq_pow = [D_psi[-1]], [A.one]
     for c in reversed(D_psi[:-1]):
-        D_sq_pow = poly.mul(D_sq_pow, D_sq, base)
-        acc = poly.add(poly.mul(acc, num, base), [c * e for e in D_sq_pow], base)
-    return poly.trim(poly.mul(D, acc, base), base)
+        D_sq_pow = _mul(D_sq_pow, D_sq, A)
+        acc = _zip(operator.add, _mul(acc, num, A), [c * e for e in D_sq_pow], A)
+    return A.wrap(_trim(_mul(D, acc, A), A.zero))
 
 
-def _verify_dual(cand: "DualIsogeny") -> bool:
-    """Exact check that cand o phi = [N] as maps, for cand = iso o psi.
+def _verify_dual(cand: "DualIsogeny", psi_N: Optional[list] = None) -> bool:
+    """Exact check that cand o phi = [N] as maps, for cand = iso o psi;
+    psi_N is monic(psi_N(E)) where the caller has it.
 
     (a) Kernel identity.  The kernel polynomial of psi o phi
     (`composition_kernel_polynomial`) equals monic(psi_N(E)) iff
@@ -188,54 +207,31 @@ def _verify_dual(cand: "DualIsogeny") -> bool:
     phi = cand.forward
     if cand.back_iso.u != phi.degree:
         return False
-    kernel_poly = composition_kernel_polynomial(phi, cand.quotient.kernel_polynomial)
-    return kernel_poly == poly.monic(division_polynomial(phi.domain, phi.degree),
-                                     phi.domain.ctx)
-
-
-def _dual_kernels(E2: WeierstrassCurve, N: int, psi, roots: list):
-    """Kernel polynomials of Galois-stable subgroups of order N of E2.
-
-    The doubling map delta(x) = x([2]P) permutes the roots of psi_N.  For
-    N = 5 a subgroup <P> has the x-coordinates x(P) and delta(x(P)): two
-    rational roots, or the roots of an irreducible quadratic factor on which
-    Frobenius acts as doubling, which then divides delta(x) - x^q.  In
-    general: a delta-orbit of (N-1)/2 rational roots, or an irreducible
-    factor of degree (N-1)/2 on which Frobenius is a power of delta; these
-    are all the subgroups when (N-1)/2 is 1 or prime and 2 generates
-    (Z/N)^x / {+-1}, as for N = 3, 5, 7, 11.  The others are sought only
-    when no rational candidate is the dual.
-    """
-    ctx = E2.ctx
-    b2, b4, b6, b8 = E2.b_invariants()
-    dbl_num = [-b8, -2 * b6, -b4, ctx.zero, ctx.one]
-    dbl_den = [b6, 2 * b4, b2, ctx.el(4)]
-    half = (N - 1) // 2
-    seen = set()
-    for x0 in roots:
-        orbit = [x0]
-        while (r := poly.value_and_derivative(dbl_num, orbit[-1])[0]
-               / poly.value_and_derivative(dbl_den, orbit[-1])[0]) != x0:
-            orbit.append(r)
-        key = frozenset(r.coeffs for r in orbit)
-        if len(orbit) == half and key not in seen:
-            seen.add(key)
-            yield poly.from_roots(orbit, ctx)
-    frob = [ctx.zero, ctx.one]
-    for _ in range(half - 1):
-        frob = poly.powmod(frob, ctx.q, psi, ctx)  # x^(q^j) mod psi_N
-        # the roots r of psi_N with delta(r) = r^(q^j)
-        stable = poly.gcd(psi, poly.sub(dbl_num, poly.mul(frob, dbl_den, ctx), ctx), ctx)
-        if len(stable) > 1:
-            yield from (g for g in poly.factors(stable, ctx, half) if len(g) - 1 == half)
+    if psi_N is None:
+        psi_N = poly.monic(division_polynomial(phi.domain, phi.degree), phi.domain.ctx)
+    return composition_kernel_polynomial(phi, cand.quotient.kernel_polynomial) == psi_N
 
 
 def dual_isogeny(phi: Isogeny) -> DualIsogeny:
     """The dual of phi of odd prime degree N, characterized by
-    dual o phi = [N].
+    dual o phi = [N], with its kernel polynomial D^ built in closed form.
 
-    Raises ValueError when N is no odd prime, and when the characteristic
-    divides N: that dual is inseparable, so it has no kernel polynomial.
+    Let g = monic(psi_N(E)) / D, of degree N(N-1)/2: its roots are the x(P)
+    for P in E[N] - ker(phi), one per pair +-P, and it is prime to D.  phi
+    maps E[N] onto ker(dual) with fibres the cosets of ker(phi), so it maps
+    E[N] - ker(phi) onto ker(dual) - {O}, N to 1, and +-P to +-phi(P).  The
+    x-map h = num / D^2 thus sends the roots of g onto the roots of D^, each
+    hit N times: the characteristic polynomial of h modulo g is D^^N.  The
+    power sums of the roots of D^ are therefore Tr_g(h^j) / N for
+    j = 1..(N-1)/2, and Newton's identities give D^ from them, dividing by
+    N and by 1..(N-1)/2 only.  The dual is iso o psi, with psi the quotient
+    by D^ and iso the isomorphism of scale N onto E; `_verify_dual` proves
+    it, and a rejection is a defect (InvariantError).
+
+    Raises ValueError when N is no odd prime; when the characteristic
+    divides N, as that dual is inseparable and has no kernel polynomial; and
+    when the characteristic does not exceed (N-1)/2, which Newton's
+    identities divide by.
     """
     E, E2, N = phi.domain, phi.codomain, phi.degree
     ctx = E.ctx
@@ -246,17 +242,27 @@ def dual_isogeny(phi: Isogeny) -> DualIsogeny:
             f"characteristic {ctx.p} divides deg phi = {N}: the dual is inseparable, "
             f"so no Velu quotient has the scale u = {N} = 0 it needs"
         )
-    psi = division_polynomial(E2, N)
-    roots = poly.roots(psi, ctx)
-    torsion = tuple(P for x in roots for P in _points_for_x(E2, x))
-    for D in _dual_kernels(E2, N, psi, roots):
-        quotient = from_kernel_polynomial(E2, D)
-        iso = isomorphism_with_scale(quotient.codomain, E, ctx.el(N))
-        if iso is not None:
-            cand = DualIsogeny(phi, quotient, iso, torsion)
-            if _verify_dual(cand):
-                return cand
-    raise RadicantError("failed to construct the dual isogeny")
+    half = (N - 1) // 2
+    if ctx.p <= half:
+        raise ValueError(
+            f"characteristic {ctx.p} does not exceed (deg phi - 1)/2 = {half}, "
+            f"which Newton's identities for the dual's kernel polynomial divide by"
+        )
+    A = _coeffs(ctx)
+    psi_N = _monic(A.unwrap(division_polynomial(E, N)), A)
+    D = A.unwrap(phi.kernel_polynomial)
+    g, rem = _divmod(psi_N, D, A)
+    if rem != [A.zero]:
+        raise InvariantError("the kernel polynomial does not divide psi_N")
+    traces = _power_traces(A.unwrap(phi.x_numerator), _mul(D, D, A), g, half, A)
+    inv_N = A.inverse(A.scalar(N))
+    D_hat = _from_power_sums(A.reduced([t * inv_N for t in traces]), A)
+    quotient = from_kernel_polynomial(E2, A.wrap(D_hat))
+    iso = isomorphism_with_scale(quotient.codomain, E, ctx.el(N))
+    dual = None if iso is None else DualIsogeny(phi, quotient, iso)
+    if dual is None or not _verify_dual(dual, A.wrap(psi_N)):
+        raise InvariantError("the dual built from the traces fails dual o phi = [N]")
+    return dual
 
 
 _DUAL_CACHE: dict = {}
@@ -275,6 +281,19 @@ def cached_dual(phi: Isogeny) -> DualIsogeny:
 # distinguished points
 # ---------------------------------------------------------------------------
 
+def _fibre_polynomial(dual: DualIsogeny, K: Point) -> list:
+    """num_psi - (r + u^2 x(K)) D^2 for dual = iso o psi, x o psi = num_psi /
+    D^2, iso: x -> (x - r) / u^2: monic of degree N, and its roots are the
+    x(X) with dual(X) = +-K, so every such X lies in E2[N] as
+    [N]X = phi(dual(X)) = phi(+-K) = O for K in ker(phi)."""
+    A = _coeffs(K.x.ctx)
+    iso, psi = dual.back_iso, dual.quotient
+    (c,) = A.unwrap([iso.r + iso.u * iso.u * K.x])
+    D = A.unwrap(psi.kernel_polynomial)
+    return A.wrap(_zip(operator.sub, A.unwrap(psi.x_numerator),
+                       [c * e for e in _mul(D, D, A)], A))
+
+
 def is_distinguished(phi: Isogeny, P2: Point) -> bool:
     """True when the dual sends P2 back to the kernel generator itself."""
     phi.codomain.require(P2)
@@ -286,21 +305,24 @@ def is_distinguished(phi: Isogeny, P2: Point) -> bool:
 
 def distinguished_points(phi: Isogeny) -> list:
     """The rational order-N points P' on the codomain with dual(P') = kernel
-    generator; points over an extension are not searched.
+    generator K; points over an extension are not searched.
 
-    P' and -P' share x, and dual(-P') = -dual(P'); the generator K has odd
-    order, so K != -K and one evaluation per pair decides both points.
+    Their x-coordinates are the rational roots of the dual's fibre
+    polynomial over +-K.  P' and -P' share x, and dual(-P') = -dual(P'); K
+    has odd order, so K != -K and one evaluation per root decides both
+    points.
     """
     dual = cached_dual(phi)
-    K = phi.kernel_generator
+    E2, K = phi.codomain, phi.kernel_generator
     minus_K = phi.domain.neg(K)
-    # the dual carries the rational order-N points of E2 it was built from
-    pairs = {P2.x.coeffs: P2 for P2 in dual.codomain_torsion}
     out = []
-    for P2 in pairs.values():
-        image = dual(P2)
-        if image == K:
-            out.append(P2)
-        elif image == minus_K:
-            out.append(phi.codomain.neg(P2))
+    for x in poly.roots(_fibre_polynomial(dual, K), E2.ctx):
+        for P2 in _points_for_x(E2, x)[:1]:  # none where y is irrational
+            image = dual(P2)
+            if image == K:
+                out.append(P2)
+            elif image == minus_K:
+                out.append(E2.neg(P2))
+            else:
+                raise InvariantError("a root of the fibre polynomial is off the fibre")
     return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))

@@ -6,7 +6,9 @@ one Rabin irreducibility test, used over any F_{p^k}; make_field bootstraps
 through it over the prime field F_p.  `factors` finds the irreducible factors
 of small degree by distinct-degree and Cantor-Zassenhaus equal-degree
 splitting; `roots` is its degree-1 case.  `charpoly` gives characteristic
-polynomials in F_q[x]/(m).  Polynomials are lists, constant term first.
+polynomials in F_q[x]/(m), from the power sums of `_power_traces` by
+Newton's identities (`_from_power_sums`).  Polynomials are lists, constant
+term first.
 
 The public functions take and return lists of FieldElements.  The
 algorithms compute on raw coefficients, chosen once per call from ctx.k:
@@ -14,7 +16,9 @@ over F_p plain ints in [0, p), where sums of products stay unreduced and
 each coefficient is reduced mod p once, where it is read as a pivot or
 written out; over F_{p^k} with k > 1 the FieldElements themselves, whose
 operators reduce as they go.  Coefficients are unwrapped on entry and
-rebuilt through ctx.el on exit.
+rebuilt through ctx.el on exit.  curve.py and isogeny.py chain the
+underscored algorithms the same way, on the raw lists of `_coeffs(ctx)`,
+and wrap only their results.
 """
 
 from __future__ import annotations
@@ -156,6 +160,10 @@ def _monic(f, A) -> list:
     return A.reduced([c * inv_lead for c in f])
 
 
+def _derivative(f, A) -> list:
+    return A.reduced([i * c for i, c in enumerate(f)][1:]) or [A.zero]
+
+
 def _gcd(f, g, A) -> list:
     zero = A.zero
     f, g = _trim(f, zero), _trim(g, zero)
@@ -215,16 +223,27 @@ def gcd(f, g, ctx):
 def charpoly(num, den, m, ctx):
     """prod (Y - num(x_i)/den(x_i)) over the roots x_i of the monic m of
     degree n, with multiplicity: the characteristic polynomial of num/den in
-    F_q[x]/(m), for p > n.  Newton's identities, k c_{n-k} + sum_{0<i<k}
-    c_{n-i} s_{k-i} = 0 for monic c with power sums s, run forward on m for
-    the traces of x^j and backward from the traces of (num/den)^k.
+    F_q[x]/(m), for p > n.  `_power_traces` gives its power sums, and
+    `_from_power_sums` runs Newton's identities backward from them, dividing
+    by 1..n.
     """
     n = len(m) - 1
     if ctx.p <= n:
         raise ValueError(f"characteristic {ctx.p} does not exceed the degree {n}")
     A = _coeffs(ctx)
+    traces = _power_traces(A.unwrap(num), A.unwrap(den), A.unwrap(m), n, A)
+    return A.wrap(_from_power_sums(traces, A))
+
+
+def _power_traces(num, den, m, count, A) -> list:
+    """[Tr(h^k) for k = 1..count] in F_q[x]/(m), h = num/den mod m, for the
+    monic m of degree n: the power sums of the h(x_i) over the roots x_i of
+    m, with multiplicity.  Newton's identities run forward on m give the
+    traces of x^j, j < n, with no division, and Tr(h^k) is linear in the
+    coefficients of h^k mod m.
+    """
     zero, one, reduce = A.zero, A.one, A.reduce
-    num, den, m = A.unwrap(num), A.unwrap(den), A.unwrap(m)
+    n = len(m) - 1
     r0, r1, s0, s1 = m, _divmod(den, m, A)[1], [zero], [one]
     while r1 != [zero]:  # invariant: s_i den = r_i modulo m
         quo, rem = _divmod(r0, r1, A)
@@ -233,19 +252,33 @@ def charpoly(num, den, m, ctx):
         raise ZeroDivisionError("the denominator is no unit modulo m")
     inv_r0 = A.inverse(r0[0])
     h = _divmod(_mul(num, A.reduced([c * inv_r0 for c in s0]), A), m, A)[1]
-
-    def newton(c, s, k):
-        return sum((c[n - i] * s[k - i] for i in range(1, k)), zero)
-
-    s, t, power, c = [A.scalar(n)], [None], [one], [zero] * n + [one]
+    s = [A.scalar(n)]
     for k in range(1, n):
-        s.append(reduce(-(k * m[n - k] + newton(m, s, k))))
-    for _ in range(n):
+        s.append(reduce(-(k * m[n - k] + _newton_sum(m, s, k, A))))
+    traces, power = [], [one]
+    for _ in range(count):
         power = _divmod(_mul(power, h, A), m, A)[1]
-        t.append(reduce(sum((a * b for a, b in zip(power, s)), zero)))
+        traces.append(reduce(sum((a * b for a, b in zip(power, s)), zero)))
+    return traces
+
+
+def _newton_sum(c, s, k, A):
+    """sum_{0<i<k} c_{n-i} s_{k-i} for the monic c of degree n = len(c) - 1
+    with power sums s (s[j] the j-th)."""
+    n = len(c) - 1
+    return sum((c[n - i] * s[k - i] for i in range(1, k)), A.zero)
+
+
+def _from_power_sums(traces, A) -> list:
+    """The monic c of degree n = len(traces) whose roots have the power sums
+    traces[k - 1], k = 1..n: Newton's identities, k c_{n-k} + sum_{0<i<k}
+    c_{n-i} s_{k-i} + s_k = 0, solved for c_{n-k}, which divides by k < p.
+    """
+    n, reduce = len(traces), A.reduce
+    s, c = [None] + list(traces), [A.zero] * n + [A.one]
     for k in range(1, n + 1):
-        c[n - k] = reduce(-(t[k] + newton(c, t, k)) * A.inverse(A.scalar(k)))
-    return A.wrap(c)
+        c[n - k] = reduce(-(s[k] + _newton_sum(c, s, k, A)) * A.inverse(A.scalar(k)))
+    return c
 
 
 def from_roots(roots, ctx):
@@ -259,7 +292,7 @@ def from_roots(roots, ctx):
 
 def derivative(f, ctx):
     A = _coeffs(ctx)
-    return A.wrap(A.reduced([i * c for i, c in enumerate(A.unwrap(f))][1:]) or [A.zero])
+    return A.wrap(_derivative(A.unwrap(f), A))
 
 
 def value_and_derivative(f, x):

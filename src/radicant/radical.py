@@ -23,7 +23,7 @@ from .curve import (
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
-from .isogeny import cached_dual, distinguished_points, velu
+from .isogeny import _fibre_polynomial, cached_dual, distinguished_points, velu
 from .miscutil import isprime
 
 # b' = alpha num(alpha) / den(alpha) for a fifth root alpha of b, constant first
@@ -171,11 +171,8 @@ def successor_polynomial(b: FieldElement) -> list:
     _check_params(b)
     ctx = b.ctx
     phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
-    dual = cached_dual(phi)
-    # dual = iso o psi, x o psi = num_psi / D^2, iso: x -> (x - r) / u^2, so the
-    # monic quintic g has the roots x(X) with dual(X) = +-(0, 0)
-    iso, D = dual.back_iso, dual.quotient.kernel_polynomial
-    g = poly.sub(dual.quotient.x_numerator, [iso.r * e for e in poly.mul(D, D, ctx)], ctx)
+    # the monic quintic g has the roots x(X) with dual(X) = +-(0, 0)
+    g = _fibre_polynomial(cached_dual(phi), phi.kernel_generator)
     num, den = normal_form_b(phi.codomain)
     return poly.charpoly(num, den, g, ctx)
 
@@ -193,13 +190,13 @@ def radical_successor_polynomial(b: FieldElement) -> list:
 
 def velu_reference_step(b: FieldElement) -> list:
     """The rational successors of b, sorted, without radical formulas: b'(x)
-    at the rational distinguished points, which the dual's rational
-    5-torsion holds, so psi_5 is factored once.  Their x-coordinates are
-    the rational roots of the g of `successor_polynomial`.  Successors over
-    an extension are left out ([] where b is no fifth power), as are
-    conjugate ones over F_{q^2} that an automorphism merges into a rational
-    double root of S_b where j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4:
-    S_b has the roots 4 and 18 twice; this list is [4]).
+    at the rational distinguished points, whose x-coordinates are the
+    rational roots of the g of `successor_polynomial`, so one quintic is
+    factored and psi_5 is not.  Successors over an extension are left out
+    ([] where b is no fifth power), as are conjugate ones over F_{q^2} that
+    an automorphism merges into a rational double root of S_b where
+    j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4: S_b has the roots 4 and 18
+    twice; this list is [4]).
     `successor_polynomial` has all five."""
     _check_params(b)
     ctx = b.ctx

@@ -9,11 +9,13 @@ from radicant.curve import (
     O,
     CurveIso,
     Point,
+    WeierstrassCurve,
     _points_for_x,
     base_change,
     degree5_curve,
     division_polynomial,
     enumerate_points,
+    isomorphism_with_scale,
     isomorphisms,
     normal_form_discriminant,
     order_over_extension,
@@ -21,11 +23,11 @@ from radicant.curve import (
     points_of_order,
     rational_point_of_order,
 )
+from radicant.errors import DegenerateParams
 from radicant.field import make_field
 from radicant.isogeny import (
     DualIsogeny,
     Isogeny,
-    _dual_kernels,
     _verify_dual,
     composition_kernel_polynomial,
     dual_isogeny,
@@ -109,8 +111,6 @@ class TestVelu:
     def test_two_torsion_kernel(self):
         # degree-2 quotient exercises the two-torsion branch of the sums
         F = make_field(13)
-        from radicant.curve import WeierstrassCurve
-
         E = WeierstrassCurve(F.zero, F.zero, F.zero, F.el(1), F.zero)
         two = next(P for P in enumerate_points(E)
                    if not P.is_infinity and point_order(E, P) == 2)
@@ -130,9 +130,6 @@ class TestVelu:
         # x(P + Q) - x(Q), and the same for y, against the rational maps of
         # the kernel polynomial, for kernels of orders 2..9 on curves with
         # every a-invariant drawn
-        from radicant.curve import WeierstrassCurve
-        from radicant.errors import DegenerateParams
-
         F = make_field(p, k)
         rng = random.Random(p + k)
         degrees = set()
@@ -243,6 +240,102 @@ class TestDual:
         ]
         assert len(killed) == 5
 
+    def test_characteristic_at_most_half_the_degree_is_refused(self, monkeypatch):
+        # Newton's identities for the dual's kernel polynomial divide by
+        # 1..(N-1)/2, so p = 5 is refused for a declared degree of 11, before
+        # any polynomial arithmetic; the maps are never read
+        F = make_field(5)
+        E = degree5_curve(F.el(1))
+        phi = Isogeny(E, E, 11, (F.one,), (F.zero, F.one))
+        monkeypatch.setattr(isogeny, "division_polynomial", None)
+        with pytest.raises(ValueError, match="does not exceed"):
+            dual_isogeny(phi)
+
+    def test_factors_nothing(self, monkeypatch):
+        # the dual's kernel polynomial comes from traces, not from roots or
+        # factors of psi_N; poly.roots goes through poly.factors
+        calls = []
+        factors = poly.factors
+        monkeypatch.setattr(poly, "factors",
+                            lambda *args: calls.append(args) or factors(*args))
+        for p, k, v in ((7, 1, 2), (13, 1, 4), (19, 1, 4), (31, 1, 11), (41, 1, 32),
+                        (13, 2, (3, 5))):
+            b = make_field(p, k).el(v)
+            dual = dual_isogeny(velu(degree5_curve(b), marked(b.ctx)))
+            assert _verify_dual(dual)
+        assert calls == []
+
+
+class TestDualAgainstSearch:
+    # the closed-form dual is the one candidate of the former search (every
+    # Galois-stable order-5 subgroup) that the exact check accepts: same
+    # kernel polynomial, same (u, r, s, t)
+    @staticmethod
+    def assert_same_as_search(b):
+        phi = velu(degree5_curve(b), marked(b.ctx))
+        (found,) = accepted_candidates(phi)
+        dual = dual_isogeny(phi)
+        assert dual.quotient.kernel_polynomial == found.quotient.kernel_polynomial, b
+        iso, other = dual.back_iso, found.back_iso
+        assert (iso.u, iso.r, iso.s, iso.t) == (other.u, other.r, other.s, other.t), b
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 19, 29, 31])
+    def test_every_b(self, p):
+        F = make_field(p)
+        valid = [b for b in map(F.el, range(1, p)) if not normal_form_discriminant(b, b).is_zero()]
+        assert valid
+        for b in valid:
+            self.assert_same_as_search(b)
+
+    @pytest.mark.parametrize("p", [13, 19])
+    def test_sampled_b_over_quadratic_field(self, p):
+        F = make_field(p, 2)
+        rng = random.Random(p)
+        valid = [b for b in F.elements()
+                 if not b.is_zero() and not normal_form_discriminant(b, b).is_zero()]
+        for b in rng.sample(valid, 20):
+            self.assert_same_as_search(b)
+
+
+def curves_with_torsion(N, p, count):
+    """The first `count` (E, K), E: y^2 = x^3 + a x + c over F_p in (a, c)
+    order and K a rational point of exact order N, found by enumeration."""
+    F = make_field(p)
+    found = []
+    for a, c in itertools.product(range(p), repeat=2):
+        try:
+            E = WeierstrassCurve(F.zero, F.zero, F.zero, F.el(a), F.el(c))
+        except DegenerateParams:
+            continue
+        pts = enumerate_points(E)
+        K = next((P for P in pts[1:] if point_order(E, P, len(pts)) == N), None)
+        if K is not None:
+            found.append((E, K))
+            if len(found) == count:
+                break
+    return found
+
+
+class TestOtherDegrees:
+    # duals of degree 3 and 7: dual o phi = [N] on every rational point, and
+    # the distinguished points against a filter of all rational N-torsion
+    @pytest.mark.parametrize("N,p", [(3, 5), (3, 7), (3, 11), (7, 5), (7, 11), (7, 13)])
+    def test_dual_and_distinguished_points(self, N, p):
+        instances = curves_with_torsion(N, p, 10)
+        assert instances
+        nonempty = 0
+        for E, K in instances:
+            phi = velu(E, K)
+            assert phi.degree == N
+            dual = dual_isogeny(phi)
+            for X in enumerate_points(E):
+                assert dual(evaluate(phi, X)) == E.mul(N, X)
+            brute = [P for P in points_of_order(phi.codomain, N) if dual(P) == K]
+            ds = distinguished_points(phi)
+            assert ds == sorted(brute, key=lambda P: (P.x.coeffs, P.y.coeffs))
+            nonempty += bool(ds)
+        assert nonempty
+
 
 def _embedded(phi, W):
     """phi's curves and maps over W, an extension of its prime base field."""
@@ -294,6 +387,56 @@ class BruteForce:
                 return False
             if lcm > self.bound or i >= self.bound:
                 return True
+
+
+def _dual_kernels(E2, N, psi, roots):
+    """Kernel polynomials of Galois-stable subgroups of order N of E2, by
+    search: the candidates the brute-force check judges.
+
+    The doubling map delta(x) = x([2]P) permutes the roots of psi_N.  For
+    N = 5 a subgroup <P> has the x-coordinates x(P) and delta(x(P)): two
+    rational roots, or the roots of an irreducible quadratic factor on which
+    Frobenius acts as doubling, which then divides delta(x) - x^q.  In
+    general: a delta-orbit of (N-1)/2 rational roots, or an irreducible
+    factor of degree (N-1)/2 on which Frobenius is a power of delta; these
+    are all the subgroups when (N-1)/2 is 1 or prime and 2 generates
+    (Z/N)^x / {+-1}, as for N = 3, 5, 7, 11.
+    """
+    ctx = E2.ctx
+    b2, b4, b6, b8 = E2.b_invariants()
+    dbl_num = [-b8, -2 * b6, -b4, ctx.zero, ctx.one]
+    dbl_den = [b6, 2 * b4, b2, ctx.el(4)]
+    half = (N - 1) // 2
+    seen = set()
+    for x0 in roots:
+        orbit = [x0]
+        while (r := poly.value_and_derivative(dbl_num, orbit[-1])[0]
+               / poly.value_and_derivative(dbl_den, orbit[-1])[0]) != x0:
+            orbit.append(r)
+        key = frozenset(r.coeffs for r in orbit)
+        if len(orbit) == half and key not in seen:
+            seen.add(key)
+            yield poly.from_roots(orbit, ctx)
+    frob = [ctx.zero, ctx.one]
+    for _ in range(half - 1):
+        frob = poly.powmod(frob, ctx.q, psi, ctx)  # x^(q^j) mod psi_N
+        # the roots r of psi_N with delta(r) = r^(q^j)
+        stable = poly.gcd(psi, poly.sub(dbl_num, poly.mul(frob, dbl_den, ctx), ctx), ctx)
+        if len(stable) > 1:
+            yield from (g for g in poly.factors(stable, ctx, half) if len(g) - 1 == half)
+
+
+def accepted_candidates(phi):
+    """Every iso o psi over the searched kernels that `_verify_dual` accepts.
+    It refuses every scale u but N (`test_every_candidate` tries them all),
+    so only the isomorphism onto E of scale N is tried."""
+    E, E2, N = phi.domain, phi.codomain, phi.degree
+    psi_N = division_polynomial(E2, N)
+    return [cand
+            for D in _dual_kernels(E2, N, psi_N, poly.roots(psi_N, E2.ctx))
+            for psi in [from_kernel_polynomial(E2, D)]
+            for iso in [isomorphism_with_scale(psi.codomain, E, E.ctx.el(N))] if iso is not None
+            for cand in [DualIsogeny(phi, psi, iso)] if _verify_dual(cand)]
 
 
 class TestVerifyDualAgainstBruteForce:
@@ -380,8 +523,9 @@ class TestDistinguished:
 
     @pytest.mark.parametrize("p", [31, 41])
     def test_reference_step_solves_psi5_once(self, p, monkeypatch):
-        # the dual carries the codomain's rational 5-torsion, so
-        # distinguished_points does not factor psi_5 again; poly.roots goes
+        # the dual factors nothing, and distinguished_points finds the
+        # rational roots of the dual's fibre quintic over +-(0, 0), so the
+        # one call factors that quintic and not psi_5; poly.roots goes
         # through poly.factors, so this counts its calls too
         monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
         F = make_field(p)
