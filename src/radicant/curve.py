@@ -26,7 +26,7 @@ from .errors import (
     RadicantError,
     TorsionUnavailable,
 )
-from .field import FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement, nth_roots
 from .miscutil import isprime, order_dividing
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -266,8 +266,6 @@ def _points_for_x(E: WeierstrassCurve, x: FieldElement, sqrt_table=None) -> list
     if sqrt_table is not None:
         roots = sqrt_table.get(disc.coeffs, [])
     else:
-        from .field import nth_roots
-
         roots = nth_roots(disc, 2)
     return [Point(x, (r - h) * two_inv) for r in roots]
 
@@ -541,6 +539,19 @@ def degree5_curve(b: FieldElement) -> WeierstrassCurve:
     return curve_from_params(TateParams(b, b, 5))
 
 
+def degree5_j_invariant(b: FieldElement) -> FieldElement:
+    """j of `degree5_curve(b)` without building it: the j-map of X_1(5),
+    (b^4 - 12b^3 + 14b^2 + 12b + 1)^3 / Delta(b).  The numerator is c4^3;
+    Delta(b) = b^5 (b^2 - 11b - 1) is `normal_form_discriminant(b, b)`, and
+    where it vanishes DegenerateParams is raised as `degree5_curve` raises
+    it."""
+    delta = normal_form_discriminant(b, b)
+    if delta.is_zero():
+        raise DegenerateParams("normal-form discriminant vanishes")
+    c4 = b * (b * (b * (b - 12) + 14) + 12) + 1
+    return c4**3 / delta
+
+
 @dataclass(frozen=True)
 class CurveIso:
     """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
@@ -662,14 +673,17 @@ def normal_form_b(E: WeierstrassCurve) -> tuple:
 def isomorphisms(E1: WeierstrassCurve, E2: WeierstrassCurve) -> Iterator[CurveIso]:
     """All isomorphisms E1 -> E2 in canonical order of the scale factor u.
 
-    Each u forces the rest (`isomorphism_with_scale`), so the scan is linear
-    in the field size.
+    An isomorphism of scale u sends the discriminant D to D / u^12, so its u
+    is a 12th root of D(E1) / D(E2): at most gcd(12, q - 1) candidates,
+    taken from `nth_roots` in canonical order.  Each u forces the rest
+    (`isomorphism_with_scale`), which checks it exactly.  Nothing scans the
+    field, so the search answers over any field size.
     """
     if E1.ctx != E2.ctx:
         raise ContextMismatch("isomorphism search needs a common base field")
     if E1.j_invariant() != E2.j_invariant():
         return
-    for u in E1.ctx.nonzero_elements():
+    for u in nth_roots(E1.discriminant() / E2.discriminant(), 12):
         iso = isomorphism_with_scale(E1, E2, u)
         if iso is not None:
             yield iso
@@ -702,10 +716,10 @@ def find_isomorphism(
     """First isomorphism satisfying the optional constraint, or None.
 
     point_map = (P, Q) requires iso(P) = Q; subgroup_map = (list1, list2)
-    requires the image of list1 to equal list2 as a set.
+    requires the image of list1 to equal list2 as a set.  The candidates are
+    the at most 6 isomorphisms of `isomorphisms`, so no field-size bound
+    applies; the cost is that of the constraint lists.
     """
-    if E1.ctx.q > enum_bound():
-        raise EnumerationBound("field too large for isomorphism search")
     target = set()
     if subgroup_map is not None:
         target = {(q.x.coeffs, q.y.coeffs) if not q.is_infinity else None for q in subgroup_map[1]}

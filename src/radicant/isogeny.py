@@ -269,7 +269,10 @@ _DUAL_CACHE: dict = {}
 
 
 def cached_dual(phi: Isogeny) -> DualIsogeny:
-    key = (phi.domain, phi.kernel_polynomial)
+    """`dual_isogeny(phi)`, memoised.  The key holds the kernel generator:
+    phis with one kernel but different generators share the dual map, but
+    each dual's `forward` must be the phi it was asked for."""
+    key = (phi.domain, phi.kernel_polynomial, phi.kernel_generator)
     if key not in _DUAL_CACHE:
         if len(_DUAL_CACHE) > 64:
             _DUAL_CACHE.clear()

@@ -17,6 +17,7 @@ from .curve import (
     Point,
     WeierstrassCurve,
     degree5_curve,
+    degree5_j_invariant,
     find_isomorphism,
     has_order,
     to_tate_normal,
@@ -218,15 +219,16 @@ def gamma0_invariant(b: FieldElement) -> FieldElement:
 def gamma0_equiv(b1: FieldElement, b2: FieldElement) -> bool:
     """Are (E_b1, <(0,0)>) and (E_b2, <(0,0)>) isomorphic as marked pairs?
 
-    Curves with different j-invariants are not isomorphic at all, so such a
-    pair is answered False before any subgroup is built.  Otherwise the
-    answer is the exhaustive isomorphism search with the subgroup
-    constraint.  An invalid b raises DegenerateParams from `degree5_curve`.
+    Both j-invariants come from the closed-form j-map of X_1(5), and curves
+    with different j are not isomorphic at all, so such a pair is answered
+    False before any curve is built.  Otherwise the answer is the
+    isomorphism search with the subgroup constraint.  An invalid b raises
+    DegenerateParams from `degree5_j_invariant`.
     """
     if b1.ctx != b2.ctx:
         raise ContextMismatch("gamma0_equiv needs a common base field")
-    E1, E2 = degree5_curve(b1), degree5_curve(b2)
-    if E1.j_invariant() != E2.j_invariant():
+    if degree5_j_invariant(b1) != degree5_j_invariant(b2):
         return False
+    E1, E2 = degree5_curve(b1), degree5_curve(b2)
     P = Point(b1.ctx.zero, b1.ctx.zero)
     return find_isomorphism(E1, E2, subgroup_map=(E1.subgroup(P), E2.subgroup(P))) is not None

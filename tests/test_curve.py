@@ -15,6 +15,7 @@ from radicant.curve import (
     curve_from_params,
     base_change,
     degree5_curve,
+    degree5_j_invariant,
     division_polynomial,
     enum_bound,
     enumerate_points,
@@ -22,6 +23,7 @@ from radicant.curve import (
     group_order,
     has_order,
     identity_iso,
+    isomorphism_with_scale,
     isomorphisms,
     normal_form_b,
     normal_form_discriminant,
@@ -42,7 +44,7 @@ from radicant.errors import (
     InvariantError,
     TorsionUnavailable,
 )
-from radicant.field import make_field
+from radicant.field import make_field, nth_roots
 from radicant.pairing import weil
 
 
@@ -391,6 +393,34 @@ class TestNormalForm:
                     checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("p,k,draws", [(11, 1, None), (31, 1, None), (7, 2, None),
+                                           (2**61 - 1, 1, 50)])
+    def test_closed_form_j_matches_curve(self, p, k, draws):
+        # the j-map of X_1(5) against the j of the built curve, and its
+        # denominator b^5 (b^2 - 11b - 1) against normal_form_discriminant;
+        # b^2 - 11b - 1 has the roots (11 +- sqrt(125)) / 2, which the
+        # sampled sweep adds to b = 0
+        F = make_field(p, k)
+        roots = [(11 + r) / 2 for r in nth_roots(F.el(125), 2)]
+        if draws is None:
+            bs = list(F.elements())
+        else:
+            rng = random.Random(p)
+            bs = [F.zero] + roots + [F.el(rng.randrange(p)) for _ in range(draws)]
+        degenerate = 0
+        for b in bs:
+            delta = normal_form_discriminant(b, b)
+            assert delta == b**5 * (b * b - 11 * b - 1)
+            if delta.is_zero():
+                degenerate += 1
+                for build in (degree5_j_invariant, degree5_curve):
+                    with pytest.raises(DegenerateParams,
+                                       match="normal-form discriminant vanishes"):
+                        build(b)
+            else:
+                assert degree5_j_invariant(b) == degree5_curve(b).j_invariant(), b
+        assert degenerate == 1 + len(roots) and len(roots) in (0, 2)
+
     def test_degenerate_params_rejected(self, F11):
         assert normal_form_discriminant(F11.one, F11.one).is_zero()
         with pytest.raises(DegenerateParams):
@@ -440,7 +470,57 @@ class TestNormalForm:
             to_tate_normal(E, marked_point(F11), 4)
 
 
+def isomorphisms_by_scan(E1, E2):
+    """The O(q) oracle for `isomorphisms`: every scale u in F_q^x, in
+    canonical order, through `isomorphism_with_scale`."""
+    return [iso for u in E1.ctx.nonzero_elements()
+            if (iso := isomorphism_with_scale(E1, E2, u)) is not None]
+
+
+def iso_data(isos):
+    return [(iso.u, iso.r, iso.s, iso.t) for iso in isos]
+
+
 class TestIsomorphismSearch:
+    @pytest.mark.parametrize("p,k", [(11, 1), (7, 2)])
+    def test_matches_scan_on_degree5_curves(self, p, k):
+        F = make_field(p, k)
+        curves = [degree5_curve(b) for b in F.nonzero_elements()
+                  if not normal_form_discriminant(b, b).is_zero()]
+        js = [E.j_invariant() for E in curves]
+        found = 0
+        for E1, j1 in zip(curves, js):
+            for E2, j2 in zip(curves, js):
+                # curves of different j are not isomorphic; the scan checks the rest
+                expected = iso_data(isomorphisms_by_scan(E1, E2)) if j1 == j2 else []
+                assert iso_data(isomorphisms(E1, E2)) == expected, (E1, E2)
+                found += len(expected)
+        assert found >= 2 * len(curves)  # at least +-1 on each curve
+
+    @pytest.mark.parametrize("p", [13, 37])
+    def test_matches_scan_at_j_0_and_1728(self, p):
+        # p = 1 mod 12: y^2 = x^3 + a6 has 6 automorphisms and y^2 = x^3 + a4 x
+        # has 4.  E2 runs through every curve of a family and E1 through one
+        # curve per twist class, the coefficient modulo 6th or 4th powers
+        F = make_field(p)
+        zero = F.zero
+        families = {
+            6: lambda c: WeierstrassCurve(zero, zero, zero, zero, c),
+            4: lambda c: WeierstrassCurve(zero, zero, zero, c, zero),
+        }
+        units = list(F.nonzero_elements())
+        for automorphisms, family in families.items():
+            classes = {c ** ((p - 1) // automorphisms): c for c in reversed(units)}
+            assert len(classes) == automorphisms
+            counts = set()
+            for E1 in map(family, classes.values()):
+                for E2 in map(family, units):
+                    expected = iso_data(isomorphisms_by_scan(E1, E2))
+                    assert iso_data(isomorphisms(E1, E2)) == expected, (E1, E2)
+                    counts.add(len(expected))
+            assert counts == {0, automorphisms}
+
+
     def test_identity_constraint(self, F11):
         E = degree5_curve(F11.el(2))
         P = marked_point(F11)

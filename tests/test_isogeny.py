@@ -541,6 +541,18 @@ class TestDistinguished:
         assert distinguished_points(phi) == [P for P in points_of_order(phi.codomain, 5)
                       if dual_isogeny(phi)(P) == phi.kernel_generator]
 
+    def test_cached_dual_keeps_the_kernel_generator(self, monkeypatch):
+        # velu(E, K) and velu(E, 2K) share a kernel polynomial; the cache must
+        # still hand each phi a dual whose forward map is that phi
+        monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
+        F = make_field(41)
+        E = degree5_curve(F.el(2) ** 5)
+        K = marked(F)
+        phi, phi2 = velu(E, K), velu(E, E.mul(2, K))
+        assert phi.kernel_polynomial == phi2.kernel_polynomial
+        assert isogeny.cached_dual(phi).forward.kernel_generator == K
+        assert isogeny.cached_dual(phi2).forward.kernel_generator == E.mul(2, K)
+
     def test_wrong_order_rejected(self):
         F, E, phi = phi_f31()
         with pytest.raises(ValueError):

@@ -12,6 +12,15 @@ from radicant.isogeny import DualIsogeny
 
 SOURCES = sorted(pathlib.Path(radicant.__file__).parent.glob("*.py"))
 
+# the designated enumeration oracles, by module and qualified name; any
+# other use of elements() or nonzero_elements() is an O(q) scan of the field
+FIELD_SCAN_ORACLES = {
+    "field.FieldCtx.nonzero_elements",
+    "curve._sqrt_table",
+    "curve.enumerate_points",
+    "pairing._point_candidates",
+}
+
 
 def test_import_loads_no_sympy():
     # sympy serves the tests as an oracle; the library and its CLI load none of it
@@ -31,6 +40,28 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, f"assert statements in the library: {found}"
+
+
+def test_field_scans_only_in_enumeration_oracles():
+    # an isomorphism search once scanned every scale u in F_q^x; a scan
+    # outside the oracles makes a valid large-field input hang or hit a bound
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("elements",
+                                                                   "nonzero_elements"):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), [path.stem])
+    assert found == FIELD_SCAN_ORACLES, (
+        f"field scans outside the oracles: {sorted(found - FIELD_SCAN_ORACLES)}; "
+        f"oracles that no longer scan: {sorted(FIELD_SCAN_ORACLES - found)}")
 
 
 def test_no_orphan_private_helpers():

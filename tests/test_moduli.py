@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radicant import moduli
 from radicant.curve import (
     Point,
     WeierstrassCurve,
     degree5_curve,
+    degree5_j_invariant,
     enum_bound,
     find_isomorphism,
     normal_form_discriminant,
@@ -16,7 +18,7 @@ from radicant.curve import (
     rational_point_of_order,
     torsion_basis,
 )
-from radicant.errors import ContextMismatch, DegenerateParams, EnumerationBound
+from radicant.errors import ContextMismatch, DegenerateParams
 from radicant.field import make_field
 from radicant.isogeny import is_distinguished
 from radicant.moduli import (
@@ -284,26 +286,43 @@ class TestGamma0Equivalence:
         with pytest.raises(ContextMismatch):
             gamma0_equiv(F11.el(2), F13.el(2))
 
-    def test_distinct_j_above_enumeration_bound(self):
+    def test_answered_above_enumeration_bound(self):
+        # neither the j comparison nor the isomorphism search scans the
+        # field, so a pair of equal j is answered, not refused
         F = make_field(2147483659)
         assert F.q > enum_bound()
         b1, b2 = F.el(2), F.el(3)
         assert degree5_curve(b1).j_invariant() != degree5_curve(b2).j_invariant()
         assert gamma0_equiv(b1, b2) is False
-        with pytest.raises(EnumerationBound):
-            gamma0_equiv(b1, b1)
+        assert gamma0_equiv(b1, b1) is True
+
+    def test_negated_inverse_at_61_bits(self):
+        # b -> -1/b fixes (b^2 - 1)/b and the marked subgroup's class
+        F = make_field(2**61 - 1)
+        rng = random.Random(61)
+        for b in (F.el(rng.randrange(2, F.p)) for _ in range(5)):
+            assert degree5_j_invariant(b) == degree5_j_invariant(-b.inverse())
+            assert gamma0_equiv(b, -b.inverse()) is True
 
     def test_distinct_j_builds_no_subgroup(self, F31, monkeypatch):
-        calls = []
+        calls, curves = [], []
         original = WeierstrassCurve.subgroup
         monkeypatch.setattr(WeierstrassCurve, "subgroup",
                             lambda self, P: calls.append(P) or original(self, P))
+        monkeypatch.setattr(moduli, "degree5_curve", lambda b: curves.append(b) or degree5_curve(b))
         b1, b2 = F31.el(2), F31.el(3)
         assert degree5_curve(b1).j_invariant() != degree5_curve(b2).j_invariant()
         assert gamma0_equiv(b1, b2) is False
-        assert calls == []
+        assert calls == [] and curves == []
         assert gamma0_equiv(b1, b1) is True
-        assert len(calls) == 2
+        assert len(calls) == 2 and curves == [b1, b1]
+        # over all pairs, only the 64 pairs of equal j build their two curves
+        valid = [b for b in F31.nonzero_elements() if not normal_form_discriminant(b, b).is_zero()]
+        curves.clear()
+        for x in valid:
+            for y in valid:
+                gamma0_equiv(x, y)
+        assert (len(valid) ** 2, len(curves)) == (784, 128)
 
 
 @pytest.mark.parametrize("p,k,n_equiv,n_unmarked", [(11, 1, 16, 0), (31, 1, 56, 8), (7, 2, 90, 0)])
