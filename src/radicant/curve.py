@@ -145,16 +145,16 @@ class WeierstrassCurve:
 
     # -- group law --------------------------------------------------------
 
-    def add(self, P: Point, Q: Point) -> Point:
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
+    def line(self, P: Point, Q: Point):
+        """The line y = lam*x + nu through the finite points P and Q, the
+        tangent when P == Q, as (lam, nu, P + Q); None when it is vertical
+        (Q = -P).  Its one inversion builds the line, and the sum is the
+        negated third point where the line meets the curve."""
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
         if x1 == x2:
             if (y1 + y2 + a1 * x1 + a3).is_zero():
-                return O
+                return None
             inv = (2 * y1 + a1 * x1 + a3).inverse()
             lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
             nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) * inv
@@ -163,11 +163,15 @@ class WeierstrassCurve:
             lam = (y2 - y1) * inv
             nu = (y1 * x2 - y2 * x1) * inv
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - nu - a3
-        return Point(x3, y3)
+        return lam, nu, Point(x3, -(lam + a1) * x3 - nu - a3)
 
-    def double(self, P: Point) -> Point:
-        return self.add(P, P)
+    def add(self, P: Point, Q: Point) -> Point:
+        if P.is_infinity:
+            return Q
+        if Q.is_infinity:
+            return P
+        line = self.line(P, Q)
+        return O if line is None else line[2]
 
     def mul(self, n: int, P: Point) -> Point:
         if n < 0:

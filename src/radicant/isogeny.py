@@ -148,7 +148,7 @@ def evaluate(phi: Isogeny, P: Point) -> Point:
     Y = (slope * (2 * P.y + E.a1 * P.x + E.a3) - C.a1 * X - C.a3) / 2
     image = Point(X, Y)
     if not C.contains(image):
-        raise RadicantError("isogeny evaluation left the codomain")
+        raise InvariantError("isogeny evaluation left the codomain")
     return image
 
 

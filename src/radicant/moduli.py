@@ -78,12 +78,6 @@ def in_axis_subgroup(g: SemidirectElem) -> bool:
     return g.b == 0
 
 
-def axis_subgroup_elements(N: int) -> Iterator[SemidirectElem]:
-    for g in group_elements(N):
-        if in_axis_subgroup(g):
-            yield g
-
-
 @dataclass(frozen=True)
 class SubgroupNormalityReport:
     N: int

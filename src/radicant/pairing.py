@@ -3,6 +3,8 @@
 Miller functions are normalized to be monic with respect to the uniformizer
 x/y at infinity.  Under that convention the usual loop with lines written
 as  y - lambda*x - nu  and verticals  x - x0  needs no correction factor.
+Each step takes its line, and the multiple T + S, from the group law's
+`WeierstrassCurve.line`.
 
 Evaluation tracks a formal leading term at the evaluation point: each line
 factor is either a plain value or (lc, ord) data of its local expansion, so
@@ -13,6 +15,7 @@ example, when evaluating f_{N,P} at -P) are handled exactly.
 from __future__ import annotations
 
 from .curve import (
+    O,
     Point,
     TateParams,
     WeierstrassCurve,
@@ -47,10 +50,11 @@ class _LocalValue:
 
 
 def _curve_slope(E: WeierstrassCurve, Q: Point) -> FieldElement:
-    den = 2 * Q.y + E.a1 * Q.x + E.a3
-    if den.is_zero():
+    """Slope of the tangent at Q, from the group law's line."""
+    line = E.line(Q, Q)
+    if line is None:
         raise SupportCollision("evaluation at a ramified (two-torsion) point")
-    return (3 * Q.x * Q.x + 2 * E.a2 * Q.x + E.a4 - E.a1 * Q.y) / den
+    return line[0]
 
 
 def _curve_half_curvature(E: WeierstrassCurve, Q: Point) -> FieldElement:
@@ -89,34 +93,26 @@ def _eval_vertical(E, x0: FieldElement, Q: Point) -> _LocalValue:
     val = Q.x - x0
     if not val.is_zero():
         return _LocalValue(val, 0)
-    _curve_slope(E, Q)  # raises on two-torsion, where ord would be 2
+    if E.neg(Q) == Q:  # x - x0 would vanish to order 2 there
+        raise SupportCollision("evaluation at a ramified (two-torsion) point")
     return _LocalValue(Q.x.ctx.one, 1)
 
 
 def _line_factors(E: WeierstrassCurve, T: Point, S: Point, Q: Point):
-    """(numerator, denominator) local values for the Miller step T, S -> T+S."""
+    """(numerator, denominator) local values for the Miller step T, S -> T+S,
+    and T + S itself, all from the group law's line through T and S."""
     one = _LocalValue(Q.x.ctx.one, 0)
     if T.is_infinity and S.is_infinity:
-        return one, one
+        return one, one, T
     if T.is_infinity or S.is_infinity:
         fin = S if T.is_infinity else T
-        return _eval_vertical(E, fin.x, Q), one
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
-    if T.x == S.x and (T.y + S.y + a1 * T.x + a3).is_zero():
-        # chord is vertical; T + S = O and the O-vertical is the constant 1
-        return _eval_vertical(E, T.x, Q), one
-    if T == S:
-        den = 2 * T.y + a1 * T.x + a3
-        lam = (3 * T.x * T.x + 2 * a2 * T.x + a4 - a1 * T.y) / den
-        nu = (-(T.x**3) + a4 * T.x + 2 * a6 - a3 * T.y) / den
-    else:
-        lam = (S.y - T.y) / (S.x - T.x)
-        nu = (T.y * S.x - S.y * T.x) / (S.x - T.x)
-    R = E.add(T, S)
-    num = _eval_chord(E, lam, nu, Q)
-    if R.is_infinity:
-        return num, one
-    return num, _eval_vertical(E, R.x, Q)
+        return _eval_vertical(E, fin.x, Q), one, fin
+    line = E.line(T, S)
+    if line is None:
+        # T + S = O and the O-vertical is the constant 1
+        return _eval_vertical(E, T.x, Q), one, O
+    lam, nu, R = line
+    return _eval_chord(E, lam, nu, Q), _eval_vertical(E, R.x, Q), R
 
 
 def _miller_raw(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElement:
@@ -128,13 +124,11 @@ def _miller_raw(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElement
     f = _LocalValue(Q.x.ctx.one, 0)
     T = P
     for bit in bin(N)[3:]:
-        num, den = _line_factors(E, T, T, Q)
+        num, den, T = _line_factors(E, T, T, Q)
         f = f.square() * num / den
-        T = E.add(T, T)
         if bit == "1":
-            num, den = _line_factors(E, T, P, Q)
+            num, den, T = _line_factors(E, T, P, Q)
             f = f * num / den
-            T = E.add(T, P)
     if f.ord != 0:
         raise SupportCollision("evaluation point lies in the divisor support")
     return f.c

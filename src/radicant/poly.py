@@ -178,16 +178,6 @@ def _gcd(f, g, A) -> list:
 # public functions, on lists of FieldElements
 # ---------------------------------------------------------------------------
 
-def trim(f, ctx):
-    A = _coeffs(ctx)
-    return A.wrap(_trim(A.unwrap(f), A.zero))
-
-
-def add(f, g, ctx):
-    A = _coeffs(ctx)
-    return A.wrap(_zip(operator.add, A.unwrap(f), A.unwrap(g), A))
-
-
 def sub(f, g, ctx):
     A = _coeffs(ctx)
     return A.wrap(_zip(operator.sub, A.unwrap(f), A.unwrap(g), A))
@@ -198,26 +188,10 @@ def mul(f, g, ctx):
     return A.wrap(_mul(A.unwrap(f), A.unwrap(g), A))
 
 
-def divmod_(f, g, ctx):
-    A = _coeffs(ctx)
-    q, r = _divmod(A.unwrap(f), A.unwrap(g), A)
-    return A.wrap(q), A.wrap(r)
-
-
-def powmod(base, exponent: int, modpoly, ctx):
-    A = _coeffs(ctx)
-    return A.wrap(_powmod(A.unwrap(base), exponent, A.unwrap(modpoly), A))
-
-
 def monic(f, ctx):
     """f scaled to leading coefficient 1 (f must be nonzero)."""
     A = _coeffs(ctx)
     return A.wrap(_monic(A.unwrap(f), A))
-
-
-def gcd(f, g, ctx):
-    A = _coeffs(ctx)
-    return A.wrap(_gcd(A.unwrap(f), A.unwrap(g), A))
 
 
 def charpoly(num, den, m, ctx):

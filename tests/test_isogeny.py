@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from radicant.curve import (
     points_of_order,
     rational_point_of_order,
 )
-from radicant.errors import DegenerateParams
+from radicant.errors import DegenerateParams, InvariantError
 from radicant.field import make_field
 from radicant.isogeny import (
     DualIsogeny,
@@ -85,6 +86,17 @@ class TestVelu:
         assert evaluate(phi, phi.kernel_generator) == O
         for Q in E.subgroup(phi.kernel_generator):
             assert evaluate(phi, Q) == O
+
+    def test_image_off_the_codomain_is_an_invariant_error(self):
+        # a codomain that is not phi's image makes evaluate's own check fail
+        # on every point outside the kernel, as a typed defect
+        F, E, phi = phi_f31()
+        wrong = dataclasses.replace(phi, codomain=degree5_curve(F.el(3)))
+        outside = [Q for Q in enumerate_points(E) if evaluate(phi, Q) != O]
+        assert len(outside) == 20
+        for Q in outside:
+            with pytest.raises(InvariantError, match="left the codomain"):
+                evaluate(wrong, Q)
 
     def test_infinity_kernel_rejected(self):
         F = make_field(31)
@@ -417,11 +429,14 @@ def _dual_kernels(E2, N, psi, roots):
         if len(orbit) == half and key not in seen:
             seen.add(key)
             yield poly.from_roots(orbit, ctx)
+    A = poly._coeffs(ctx)
     frob = [ctx.zero, ctx.one]
     for _ in range(half - 1):
-        frob = poly.powmod(frob, ctx.q, psi, ctx)  # x^(q^j) mod psi_N
+        # x^(q^j) mod psi_N
+        frob = A.wrap(poly._powmod(A.unwrap(frob), ctx.q, A.unwrap(psi), A))
         # the roots r of psi_N with delta(r) = r^(q^j)
-        stable = poly.gcd(psi, poly.sub(dbl_num, poly.mul(frob, dbl_den, ctx), ctx), ctx)
+        stable = A.wrap(poly._gcd(A.unwrap(psi), A.unwrap(
+            poly.sub(dbl_num, poly.mul(frob, dbl_den, ctx), ctx)), A))
         if len(stable) > 1:
             yield from (g for g in poly.factors(stable, ctx, half) if len(g) - 1 == half)
 

@@ -1,10 +1,12 @@
 """Source checks that hold for the whole library."""
 
 import ast
+import builtins
 import importlib
 import pathlib
 import re
 import subprocess
+import symtable
 import sys
 
 import radicant
@@ -112,6 +114,29 @@ def test_no_unused_imports():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"imports never used: {unused}"
+
+
+def test_no_undefined_globals():
+    # a name that a function reads as global, when neither the module binds
+    # it nor it is a builtin, raises NameError only once that line runs, so
+    # an error path that names an unimported error type loses its type
+    def scopes(table):
+        for child in table.get_children():
+            yield child
+            yield from scopes(child)
+
+    undefined = []
+    for path in SOURCES:
+        top = symtable.symtable(path.read_text(), str(path), "exec")
+        bound = {sym.get_name() for sym in top.get_symbols()
+                 if sym.is_assigned() or sym.is_imported()}
+        for scope in scopes(top):
+            for sym in scope.get_symbols():
+                name = sym.get_name()
+                if (sym.is_global() and sym.is_referenced() and name not in bound
+                        and not hasattr(builtins, name)):
+                    undefined.append(f"{path.name}: {scope.get_name()} {name}")
+    assert SOURCES and not undefined, f"undefined global names: {undefined}"
 
 
 def test_names_the_benchmark_tracer_reads_exist():

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from radicant.curve import (
     O,
     Point,
     TateParams,
+    WeierstrassCurve,
     base_change,
     degree5_curve,
     enumerate_points,
@@ -16,6 +19,9 @@ from radicant.errors import DegenerateParams, SupportCollision
 from radicant.field import make_field, nth_roots
 from radicant.isogeny import velu
 from radicant.pairing import _miller_raw, miller, radicand, tate_reduced, weil
+
+
+GOLDEN_MILLER = pathlib.Path(__file__).parent / "golden" / "miller_f11_f31.json"
 
 
 def marked(ctx):
@@ -41,6 +47,46 @@ class TestMiller:
             P = marked(F)
             assert miller(E, P, E.neg(P), 5) == b
             checked += 1
+
+    def test_values_match_the_golden_file(self):
+        # f_{5,(0,0)}(Q) at every finite Q other than (0,0), on every valid
+        # E_b over F_11 and F_31, so a change to the loop keeps every value;
+        # "collision" stands for SupportCollision
+        golden = json.loads(GOLDEN_MILLER.read_text())
+        assert sorted(golden) == ["11", "31"]
+        for p, curves in golden.items():
+            F = make_field(int(p))
+            P = marked(F)
+            valid = [b for b in range(1, F.p)
+                     if not normal_form_discriminant(F.el(b), F.el(b)).is_zero()]
+            assert sorted(map(int, curves)) == valid
+            for b, rows in curves.items():
+                E = degree5_curve(F.el(int(b)))
+                got = []
+                for Q in enumerate_points(E):
+                    if Q.is_infinity or Q == P:
+                        continue
+                    try:
+                        f = _miller_raw(E, P, Q, 5).to_int()
+                    except SupportCollision:
+                        f = "collision"
+                    got.append([Q.x.to_int(), Q.y.to_int(), f])
+                assert got == rows, (p, b)
+
+    def test_one_line_per_step_and_no_group_law_addition(self, F31, monkeypatch):
+        # f_{5,P}(-P): two doublings and the vertical step [4]P + P = O, each
+        # one call of the group law's line, which also yields T + S
+        E = degree5_curve(F31.el(11))
+        P = marked(F31)
+        Q = E.neg(P)
+        calls = {"add": 0, "line": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(WeierstrassCurve, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(WeierstrassCurve, name, counted)
+        assert _miller_raw(E, P, Q, 5) == F31.el(11)
+        assert calls == {"add": 0, "line": 3}
 
     def test_support_collisions_rejected(self, F11):
         E = degree5_curve(F11.el(2))

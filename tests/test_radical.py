@@ -404,11 +404,12 @@ class TestSuccessorPolynomial:
         assert phi.codomain.j_invariant() == F.el(j)
         S = successor_polynomial(b)
         assert S == radical_successor_polynomial(b)
+        A = poly._coeffs(F)
         multiplicity = {}
         for r in poly.roots(S, F):
-            rest = S
-            while poly.divmod_(rest, [-r, F.one], F)[1] == [F.zero]:
-                rest = poly.divmod_(rest, [-r, F.one], F)[0]
+            rest = A.unwrap(S)
+            while poly._divmod(rest, A.unwrap([-r, F.one]), A)[1] == [A.zero]:
+                rest = poly._divmod(rest, A.unwrap([-r, F.one]), A)[0]
                 multiplicity[r.to_int()] = multiplicity.get(r.to_int(), 0) + 1
         assert multiplicity == roots
         assert velu_reference_step(b) == [radical_step_5(b, "unique").b_next] == [F.el(reference)]
