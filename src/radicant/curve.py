@@ -119,10 +119,14 @@ class WeierstrassCurve:
     def discriminant(self) -> FieldElement:
         return _discriminant(*self.b_invariants())
 
-    def j_invariant(self) -> FieldElement:
+    def c4_and_discriminant(self) -> tuple:
+        """(c4, Delta) from one computation of the b-invariants."""
         b2, b4, b6, b8 = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        return c4**3 / _discriminant(b2, b4, b6, b8)
+        return b2 * b2 - 24 * b4, _discriminant(b2, b4, b6, b8)
+
+    def j_invariant(self) -> FieldElement:
+        c4, disc = self.c4_and_discriminant()
+        return c4**3 / disc
 
     # -- point predicates -------------------------------------------------
 
@@ -681,13 +685,17 @@ def isomorphisms(E1: WeierstrassCurve, E2: WeierstrassCurve) -> Iterator[CurveIs
     is a 12th root of D(E1) / D(E2): at most gcd(12, q - 1) candidates,
     taken from `nth_roots` in canonical order.  Each u forces the rest
     (`isomorphism_with_scale`), which checks it exactly.  Nothing scans the
-    field, so the search answers over any field size.
+    field, so the search answers over any field size.  Each curve's
+    b-invariants are computed once, for both its j and its Delta: j(E1) =
+    j(E2) reads c4(E1)^3 Delta(E2) = c4(E2)^3 Delta(E1), with no division.
     """
     if E1.ctx != E2.ctx:
         raise ContextMismatch("isomorphism search needs a common base field")
-    if E1.j_invariant() != E2.j_invariant():
+    c4_1, disc1 = E1.c4_and_discriminant()
+    c4_2, disc2 = E2.c4_and_discriminant()
+    if c4_1**3 * disc2 != c4_2**3 * disc1:
         return
-    for u in nth_roots(E1.discriminant() / E2.discriminant(), 12):
+    for u in nth_roots(disc1 / disc2, 12):
         iso = isomorphism_with_scale(E1, E2, u)
         if iso is not None:
             yield iso

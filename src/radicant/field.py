@@ -30,9 +30,14 @@ class FieldCtx:
     For k > 1, `frobenius` is the matrix of a -> a^p on coefficient
     vectors, stored by columns: column j holds coefficient j of x^(i*p)
     mod the modulus, for i = 0..k-1.  It is None for k = 1.
+
+    `sylow(r)` holds the r-Sylow data that `_prime_roots` needs for a prime
+    r dividing q - 1.  It depends only on (q, r), so it is built the first
+    time each r is asked for and kept in `_sylow`: at most one entry per
+    prime factor of q - 1, living and dying with this context.
     """
 
-    __slots__ = ("p", "k", "modulus", "q", "_key", "frobenius", "zero", "one")
+    __slots__ = ("p", "k", "modulus", "q", "_key", "frobenius", "_sylow", "zero", "one")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -50,6 +55,7 @@ class FieldCtx:
             for _ in range(k - 1):
                 powers.append(powers[-1] * xp)
             self.frobenius = tuple(zip(*(x.coeffs for x in powers)))
+        self._sylow = {}
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self._key == other._key
@@ -61,6 +67,48 @@ class FieldCtx:
         if self.k == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.k}"
+
+    def sylow(self, r: int) -> tuple:
+        """(s, descent, log_zeta) for a prime r dividing q - 1 = r^t * w,
+        r not dividing w: s = 1/r mod w; descent[i] = gen^(-r^i) for
+        i = 0..t-1, with gen a generator of the r-Sylow subgroup; and
+        log_zeta maps each r-th root of unity zeta^d, zeta = gen^(r^(t-1)),
+        to d, in the order d = 0..r-1.  Built on the first call for each r.
+        """
+        data = self._sylow.get(r)
+        if data is not None:
+            return data
+        t, w = 0, self.q - 1
+        while w % r == 0:
+            t += 1
+            w //= r
+        if t == 0:
+            raise ValueError(f"{r} does not divide q - 1 = {self.q - 1}")
+        # z^w generates the Sylow subgroup iff z is not an r-th power, which
+        # holds for a fraction 1 - 1/r of the field: a fixed-seed draw finds
+        # one in O(1) expected tries.  A canonical-order scan can hit long
+        # runs of r-th powers (over F_{p^2} the first p candidates c*x can
+        # all be).  The root set is unique, so the choice of generator
+        # changes no output.
+        rng = random.Random(r)
+        while True:
+            z = self.random_element(rng)
+            if z.is_zero():
+                continue
+            gen = z**w
+            zeta = gen ** (r ** (t - 1))  # = z^((q-1)/r): != 1 iff gen generates
+            if zeta != self.one:
+                break
+        descent, g = [], gen.inverse()
+        for _ in range(t):
+            descent.append(g)
+            g = g**r
+        log_zeta, power = {}, self.one
+        for d in range(r):
+            log_zeta[power] = d
+            power = power * zeta
+        data = self._sylow[r] = (pow(r, -1, w), tuple(descent), log_zeta)
+        return data
 
     # -- element construction -------------------------------------------
 
@@ -411,52 +459,41 @@ def _prime_roots(a: FieldElement, r: int) -> list:
     """All solutions of x^r = a for prime r (possibly empty).
 
     Adleman-Manders-Miller: with q - 1 = r^t * w and r not dividing w,
-    x0 = a^(1/r mod w) is a root up to a factor in the r-Sylow subgroup.
-    That factor is read off by a Pohlig-Hellman discrete log in t base-r
-    digits against a Sylow generator: O(t^2 log r) multiplications, with no
-    search over the r^t elements of the Sylow subgroup.
+    x0 = a^s, s = 1/r mod w, is a root up to a factor in the r-Sylow
+    subgroup: x0^r = a * u with u = a^(rs - 1).  That factor is read off by
+    a Pohlig-Hellman discrete log of u = gen^e in t base-r digits, with no
+    search over the r^t elements of the Sylow subgroup.  The generator, its
+    descending powers and the r-th roots of unity are field constants
+    (`FieldCtx.sylow`); a call does only the work that depends on a.
+
+    Digit 0 also decides whether a is an r-th power.  Write rs - 1 = k w;
+    r does not divide k, since r | k would give r | rs - 1 and so r | 1.  Then
+    u^(r^(t-1)) = a^(k w r^(t-1)) = (a^((q-1)/r))^k, and as k is a unit mod
+    r this is 1 exactly when a^((q-1)/r) is, i.e. when a is an r-th power.
+    So a nonzero digit 0 means there is no root.  Otherwise r | e, and
+    x0 * gen^(-e/r) is a root.
     """
     ctx = a.ctx
     n = ctx.q - 1
     if n % r != 0:
         # x -> x^r is a bijection
         return [a ** pow(r, -1, n)]
-    if a ** (n // r) != ctx.one:
-        return []
-    t, w = 0, n
-    while w % r == 0:
-        t += 1
-        w //= r
-    # z^w generates the Sylow subgroup iff z is not an r-th power, which
-    # holds for a fraction 1 - 1/r of the field: a fixed-seed draw finds one
-    # in O(1) expected tries.  A canonical-order scan can hit long runs of
-    # r-th powers (over F_{p^2} the first p candidates c*x can all be).  The
-    # root set is unique, so the choice of generator changes no output.
-    rng = random.Random(r)
-    while True:
-        z = ctx.random_element(rng)
-        if z.is_zero():
-            continue
-        gen = z**w
-        zeta = gen ** (r ** (t - 1))  # = z^(n/r), so zeta != 1 iff gen generates
-        if zeta != ctx.one:
-            break
-    log_zeta, power = {}, ctx.one
-    for d in range(r):
-        log_zeta[power] = d
-        power = power * zeta
-    # x0 = a^s with s = 1/r mod w is a root up to a Sylow factor u = x0^r / a
-    # = a^(rs - 1); both come from y = a^(s - 1) without inverting a
-    y = a ** (pow(r, -1, w) - 1)
-    x0 = y * a
-    u = x0 ** (r - 1) * y
-    # u = gen^e with r | e, read off in base-r digits:
-    # (u * gen^-e_low)^(r^(t-1-i)) = zeta^(digit i)
-    order = r**t
-    e = 0
+    s, descent, log_zeta = ctx.sylow(r)
+    # x0 = a^s and u = x0^r / a = a^(rs - 1) both come from y = a^(s - 1),
+    # without inverting a
+    y = a ** (s - 1)
+    root = y * a
+    v = root ** (r - 1) * y
+    # with v = u * gen^(-e_low), e_low the digits below i,
+    # v^(r^(t-1-i)) = zeta^(digit i); digit i of e is digit i - 1 of e/r
+    t = len(descent)
     for i in range(t):
-        e += log_zeta[(u * gen ** (-e % order)) ** (r ** (t - 1 - i))] * r**i
-    root = x0 * gen ** (-(e // r) % order)
+        d = log_zeta[v ** (r ** (t - 1 - i))]
+        if d:
+            if i == 0:
+                return []
+            v = v * descent[i] ** d
+            root = root * descent[i - 1] ** d
     return [root * z for z in log_zeta]
 
 

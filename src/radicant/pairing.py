@@ -116,22 +116,28 @@ def _line_factors(E: WeierstrassCurve, T: Point, S: Point, Q: Point):
 
 
 def _miller_raw(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElement:
-    """Normalized f_{N,P}(Q) for [N]P = O, via double-and-add."""
+    """Normalized f_{N,P}(Q) for [N]P = O, via double-and-add.
+
+    The numerator and the denominator are kept apart and divided once, at
+    the end, so the loop pays no inversion beyond those of its lines.
+    """
     if Q.is_infinity:
         raise SupportCollision("cannot evaluate at the base point of the divisor")
     if P.is_infinity:
         return Q.x.ctx.one
-    f = _LocalValue(Q.x.ctx.one, 0)
+    f_num = f_den = _LocalValue(Q.x.ctx.one, 0)
     T = P
     for bit in bin(N)[3:]:
         num, den, T = _line_factors(E, T, T, Q)
-        f = f.square() * num / den
+        f_num = f_num.square() * num
+        f_den = f_den.square() * den
         if bit == "1":
             num, den, T = _line_factors(E, T, P, Q)
-            f = f * num / den
-    if f.ord != 0:
+            f_num = f_num * num
+            f_den = f_den * den
+    if f_num.ord != f_den.ord:
         raise SupportCollision("evaluation point lies in the divisor support")
-    return f.c
+    return (f_num / f_den).c
 
 
 def miller(E: WeierstrassCurve, P: Point, Q: Point, N: int) -> FieldElement:

@@ -520,6 +520,23 @@ class TestIsomorphismSearch:
                     counts.add(len(expected))
             assert counts == {0, automorphisms}
 
+    def test_b_invariants_once_per_curve(self, F31, monkeypatch):
+        # one b-invariant computation per curve gives both its j and its
+        # Delta, on the j-mismatch path and on the 12th-root path alike
+        E1, E2, E3 = (degree5_curve(F31.el(b)) for b in (2, 15, 3))
+        assert E1.j_invariant() == E2.j_invariant() != E3.j_invariant()
+        calls = []
+        b_invariants = WeierstrassCurve.b_invariants
+
+        def counted(self):
+            calls.append(self)
+            return b_invariants(self)
+
+        monkeypatch.setattr(WeierstrassCurve, "b_invariants", counted)
+        for other, found in ((E1, True), (E2, True), (E3, False)):
+            calls.clear()
+            assert bool(list(isomorphisms(E1, other))) is found
+            assert calls == [E1, other]
 
     def test_identity_constraint(self, F11):
         E = degree5_curve(F11.el(2))

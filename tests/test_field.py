@@ -2,11 +2,13 @@ import math
 import operator
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radicant import field
 from radicant.errors import ContextMismatch, NoRootError
 from radicant.field import (
     _mul_raw,
@@ -358,6 +360,69 @@ class TestNthRoots:
             return
         rho = c**n if as_power else c
         assert nth_roots(rho, n) == brute_roots(F, rho, n)
+
+    # v_2, v_3, v_5 of q - 1: F_11 (1, 0, 1), F_31 (1, 1, 1), F_101 (2, 0, 2),
+    # F_251 (1, 0, 3), F_257 (8, 0, 0), F_{7^2} (4, 1, 0), F_{11^2} (3, 1, 1)
+    @pytest.mark.parametrize("pk", [(11, 1), (31, 1), (101, 1), (251, 1), (257, 1),
+                                    (7, 2), (11, 2)])
+    def test_every_element_against_the_power_map(self, pk):
+        # the power map x -> x^n, inverted once per (field, n), is the
+        # oracle for every nonzero radicand, the non-n-th powers included
+        F = make_field(*pk)
+        units = list(F.nonzero_elements())
+        for n in (2, 3, 4, 5, 12, 25):
+            preimages = {}
+            for x in units:  # canonical order, so each list is sorted
+                preimages.setdefault(x**n, []).append(x)
+            for rho in units:
+                assert nth_roots(rho, n) == preimages.get(rho, []), (pk, n, rho)
+            assert len(preimages) == (F.q - 1) // math.gcd(n, F.q - 1)
+
+    def test_sylow_data_built_once_per_context_and_prime(self, monkeypatch):
+        built = []
+
+        class CountedRandom(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(field, "random", types.SimpleNamespace(Random=CountedRandom))
+        F = make_field(1125001)  # v_5(q - 1) = 6
+        rng = random.Random(3)
+        for _ in range(100):
+            c = F.el(rng.randrange(1, F.p))
+            assert [x**5 for x in nth_roots(c**5, 5)] == [c**5] * 5
+        assert built == [5]
+        for _ in range(100):
+            nth_roots(F.el(rng.randrange(1, F.p)), 20)
+        assert built == [5, 2]
+        with pytest.raises(ValueError):
+            F.sylow(7)  # q - 1 = 2^3 * 3^2 * 5^6
+        assert built == [5, 2]
+
+    @pytest.mark.parametrize("pk,n", [((101, 1), 25), ((7, 2), 12), ((11, 2), 10)])
+    def test_equal_contexts_from_separate_builds_agree(self, pk, n):
+        F1, F2 = make_field(*pk), make_field(*pk)
+        assert F1 == F2 and F1 is not F2
+        for x in F1.nonzero_elements():
+            got1 = nth_roots(x, n)
+            got2 = nth_roots(F2.el(x.coeffs), n)
+            assert [r.coeffs for r in got1] == [r.coeffs for r in got2]
+            assert all(r.ctx is F1 for r in got1) and all(r.ctx is F2 for r in got2)
+
+    def test_non_fifth_powers_at_v5_9(self):
+        # q - 1 = 2 * 5^9 * 13: the Sylow discrete log runs over nine digits
+        F = make_field(50781251)
+        rng = random.Random(9)
+        non_powers = 0
+        while non_powers < 30:
+            c = F.el(rng.randrange(1, F.p))
+            if c ** ((F.q - 1) // 5) == 1:
+                assert [x**5 for x in nth_roots(c, 5)] == [c] * 5
+                continue
+            assert nth_roots(c, 5) == []
+            assert nth_roots(c * c**5, 5) == []  # the same coset, another input
+            non_powers += 1
 
     def test_multiplicative_order(self, F11):
         assert multiplicative_order(F11.el(10)) == 2

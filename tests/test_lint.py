@@ -23,6 +23,36 @@ FIELD_SCAN_ORACLES = {
     "pairing._point_candidates",
 }
 
+# the functions that may seed a random.Random; a seeding per call in a hot
+# path repeats work that depends only on its seed
+RANDOM_CONSTRUCTORS = {
+    "field.FieldCtx.sylow",
+    "curve._rng_for",
+    "poly.factors",
+    "verify.run_moduli",
+    "verify.run_pairing",
+    "verify.run_radical",
+}
+
+
+def _scopes_where(predicate):
+    """Qualified names (module.Class.function) of the scopes in the library
+    that hold a node meeting `predicate`."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if predicate(child):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), [path.stem])
+    return found
+
 
 def test_import_loads_no_sympy():
     # sympy serves the tests as an oracle; the library and its CLI load none of it
@@ -47,23 +77,24 @@ def test_library_has_no_assert():
 def test_field_scans_only_in_enumeration_oracles():
     # an isomorphism search once scanned every scale u in F_q^x; a scan
     # outside the oracles makes a valid large-field input hang or hit a bound
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Attribute) and child.attr in ("elements",
-                                                                   "nonzero_elements"):
-                found.add(".".join(scope))
-            visit(child, scope)
-
-    for path in SOURCES:
-        visit(ast.parse(path.read_text(), str(path)), [path.stem])
+    found = _scopes_where(lambda node: isinstance(node, ast.Attribute)
+                          and node.attr in ("elements", "nonzero_elements"))
     assert found == FIELD_SCAN_ORACLES, (
         f"field scans outside the oracles: {sorted(found - FIELD_SCAN_ORACLES)}; "
         f"oracles that no longer scan: {sorted(FIELD_SCAN_ORACLES - found)}")
+
+
+def test_random_seeded_only_in_allowlisted_functions():
+    # a Random seeded inside a per-call path redraws, on every call, what
+    # depends only on its seed: the Sylow generator depends only on (q, r),
+    # so `FieldCtx.sylow` draws it once per field
+    found = _scopes_where(
+        lambda node: isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "Random")
+    assert found == RANDOM_CONSTRUCTORS, (
+        f"Random seeded outside the allowlist: {sorted(found - RANDOM_CONSTRUCTORS)}; "
+        f"allowlisted functions that seed none: {sorted(RANDOM_CONSTRUCTORS - found)}")
 
 
 def test_no_orphan_private_helpers():

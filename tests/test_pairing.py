@@ -18,7 +18,7 @@ from radicant.curve import (
 from radicant.errors import DegenerateParams, SupportCollision
 from radicant.field import make_field, nth_roots
 from radicant.isogeny import velu
-from radicant.pairing import _miller_raw, miller, radicand, tate_reduced, weil
+from radicant.pairing import _LocalValue, _miller_raw, miller, radicand, tate_reduced, weil
 
 
 GOLDEN_MILLER = pathlib.Path(__file__).parent / "golden" / "miller_f11_f31.json"
@@ -87,6 +87,24 @@ class TestMiller:
             monkeypatch.setattr(WeierstrassCurve, name, counted)
         assert _miller_raw(E, P, Q, 5) == F31.el(11)
         assert calls == {"add": 0, "line": 3}
+
+    def test_one_division_per_evaluation(self, monkeypatch):
+        # numerator and denominator stay apart through the loop: f_{5,P}(-P)
+        # divides local values once, at the end, not once per step
+        F = make_field(1000003)
+        b = F.el(123457)
+        E = degree5_curve(b)
+        P = marked(F)
+        divisions = []
+        divide = _LocalValue.__truediv__
+
+        def counted(self, other):
+            divisions.append(other)
+            return divide(self, other)
+
+        monkeypatch.setattr(_LocalValue, "__truediv__", counted)
+        assert _miller_raw(E, P, E.neg(P), 5) == b
+        assert len(divisions) == 1
 
     def test_support_collisions_rejected(self, F11):
         E = degree5_curve(F11.el(2))
