@@ -2,9 +2,10 @@
 
 Provides the chord-tangent group law, exhaustive point enumeration with a
 Hasse-interval self check, point orders, division polynomials and the
-rational N-torsion read off their roots, torsion bases (by enumeration or
-by cofactor sampling over an extension), the unique normal form carrying a
-marked point at (0,0), and exact isomorphism search between curves.
+rational N-torsion read off their roots, torsion bases from the same
+roots and the Weil pairing, the unique normal form carrying a marked point
+at (0,0), and exact isomorphism search between curves.  Random points are
+drawn only for the sampling comparand of `radical.velu_chain`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .miscutil import isprime, order_dividing
 
 DEFAULT_ENUM_BOUND = 2_000_000
 
-# diagnostic counter: how many random curve points the torsion samplers drew
+# diagnostic counter: how many random curve points the sampling comparand drew
 _sample_count = 0
 
 
@@ -299,21 +300,6 @@ def group_order(E: WeierstrassCurve) -> int:
     return len(enumerate_points(E))
 
 
-def trace_of_frobenius(E: WeierstrassCurve) -> int:
-    """Frobenius trace (over the curve's own base field), by enumeration."""
-    return E.ctx.q + 1 - group_order(E)
-
-
-def order_over_extension(E: WeierstrassCurve, d: int) -> int:
-    """|E(F_{q^d})| from the base trace via the standard recurrence."""
-    q = E.ctx.q
-    t = trace_of_frobenius(E)
-    t_prev, t_cur = 2, t
-    for _ in range(d - 1):
-        t_prev, t_cur = t_cur, t * t_cur - q * t_prev
-    return q**d + 1 - t_cur
-
-
 # ---------------------------------------------------------------------------
 # base change between F_p and F_{p^k}
 # ---------------------------------------------------------------------------
@@ -366,51 +352,35 @@ def _rng_for(E: WeierstrassCurve, tag: str) -> random.Random:
 
 
 def torsion_basis(E: WeierstrassCurve, N: int, ext: FieldCtx):
-    """A basis (P1, P2) of E[N] rational over the given extension.
+    """A basis (P1, P2) of E[N] rational over the given extension, for odd N.
 
-    Both points have order N and their Weil pairing has exact order N.
-    Raises TorsionUnavailable when the full N-torsion is not rational.
+    The points of order N are read off the roots of psi_N
+    (`points_of_order`), so nothing is enumerated or sampled: P1 is the
+    first of them and P2 the first whose Weil pairing with P1 has exact
+    order N.  Raises TorsionUnavailable when E[N] is not rational over ext.
     """
     from .pairing import weil
 
     Eext = base_change(E, ext)
-    if ext.q <= enum_bound() and E.ctx == ext:
-        n = group_order(Eext)
-    elif E.ctx.k == 1:
-        n = order_over_extension(E, ext.k)
-    elif ext.q <= enum_bound():
-        n = group_order(Eext)
-    else:
-        raise EnumerationBound("cannot determine the group order over this field")
-    if n % (N * N) != 0 or (ext.q - 1) % N != 0:
-        raise TorsionUnavailable(f"E[{N}] is not rational over {ext}")
-    rng = _rng_for(E, f"torsion:{N}:{ext.k}")
-    first = None
-    for _ in range(400):
-        Q = random_point(Eext, rng)
-        T = _sylow_reduce(Eext, Q, n, N)
-        if T is None:
-            continue
-        if first is None:
-            first = T
-            continue
-        e = weil(Eext, first, T, N)
+    points = points_of_order(Eext, N)
+    for P2 in points[1:]:
+        e = weil(Eext, points[0], P2, N)
         if e**N != ext.one:
             raise InvariantError("Weil value is not an N-th root of unity")
         if order_dividing(N, lambda m: e**m == ext.one) == N:
-            return first, T
-    raise TorsionUnavailable(f"could not sample a basis of E[{N}] over {ext}")
+            return points[0], P2
+    raise TorsionUnavailable(f"E[{N}] is not rational over {ext}")
 
 
 def full_torsion_degree(E: WeierstrassCurve, N: int, max_degree: int = 8):
-    """Smallest extension degree d with E[N] rational over F_{q^d}."""
+    """Smallest extension degree d with E[N] rational over F_{q^d}; the
+    Weil pairing puts mu_N in F_{q^d} first."""
     from .field import make_field
 
     for d in range(1, max_degree + 1):
         if E.ctx.k != 1 and d > 1:
             break
-        n_d = order_over_extension(E, d) if E.ctx.k == 1 else group_order(E)
-        if n_d % (N * N) != 0 or (E.ctx.q**d - 1) % N != 0:
+        if (E.ctx.q**d - 1) % N != 0:
             continue
         ext = E.ctx if d == 1 else make_field(E.ctx.p, d)
         try:
@@ -478,20 +448,18 @@ def division_polynomial(E: WeierstrassCurve, n: int) -> list:
 
 
 def points_of_order(E: WeierstrassCurve, N: int) -> list:
-    """All rational points of exact order N, in enumeration order.
+    """All rational points of exact order N, for odd N, in enumeration order.
 
-    For odd N the x-coordinates are the rational roots of psi_N, each giving
-    its points through the curve equation, so nothing is enumerated; for
-    prime N every such point has order exactly N.  Even N enumerates.
+    The x-coordinates are the rational roots of psi_N, each giving its
+    points through the curve equation, so nothing is enumerated; for prime
+    N every such point has order exactly N.  `division_polynomial` refuses
+    even N.
     """
-    if N % 2 == 0:
-        candidates = enumerate_points(E)
-    else:
-        candidates = [P for x in poly.roots(division_polynomial(E, N), E.ctx)
-                      for P in _points_for_x(E, x)]
-        if isprime(N):
-            return candidates
-    return [P for P in candidates if not P.is_infinity and has_order(E, P, N)]
+    candidates = [P for x in poly.roots(division_polynomial(E, N), E.ctx)
+                  for P in _points_for_x(E, x)]
+    if isprime(N):
+        return candidates
+    return [P for P in candidates if has_order(E, P, N)]
 
 
 def rational_point_of_order(E: WeierstrassCurve, n: int, above: Optional[Point] = None):

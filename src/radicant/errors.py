@@ -1,8 +1,9 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: usage problems exit 1, mathematical
-degeneracies exit 2, verification failures exit 3, and resource ceilings
-(EnumerationBound, TorsionUnavailable) exit 4.
+degeneracies exit 2, verification failures exit 3, and EnumerationBound, a
+resource ceiling, exits 4.  TorsionUnavailable maps to 4 as well, though no
+subcommand raises it.
 """
 
 
@@ -35,7 +36,9 @@ class SupportCollision(RadicantError):
 
 
 class TorsionUnavailable(RadicantError):
-    """Required torsion points are not rational within the extension bound."""
+    """The full N-torsion E[N] is not rational over the field asked for (or,
+    in `full_torsion_degree`, over any extension up to its degree bound): a
+    property of the curve, not a resource ceiling."""
 
 
 class EnumerationBound(RadicantError):

@@ -72,24 +72,38 @@ def _check_steps(steps: int):
         raise ValueError(f"steps must be >= 0, got {steps}")
 
 
-def _pick_root(roots: list, policy: str) -> tuple:
+def _parse_policy(policy: str):
+    """The root index a policy asks for: None for 'unique', 0 for
+    'canonical', i for 'index:i'.  A malformed policy raises ValueError
+    before any root is taken."""
+    if policy == "unique":
+        return None
+    if policy == "canonical":
+        return 0
+    if policy.startswith("index:"):
+        try:
+            i = int(policy[len("index:"):])
+        except ValueError:
+            i = -1
+        if i < 0:
+            raise ValueError(f"root policy {policy!r} needs an index i >= 0")
+        return i
+    raise ValueError(f"unknown root policy {policy!r}")
+
+
+def _pick_root(roots: list, index) -> tuple:
     if not roots:
         raise NoRootError("the radicand has no fifth root in this field")
-    if policy == "unique":
+    if index is None:
         if len(roots) != 1:
             raise NoRootError(
                 "policy 'unique' needs gcd(5, q-1) = 1; "
                 f"found {len(roots)} roots"
             )
         return roots[0], 0
-    if policy == "canonical":
-        return roots[0], 0
-    if policy.startswith("index:"):
-        i = int(policy.split(":", 1)[1])
-        if not 0 <= i < len(roots):
-            raise NoRootError(f"root index {i} out of range ({len(roots)} roots)")
-        return roots[i], i
-    raise ValueError(f"unknown root policy {policy!r}")
+    if index >= len(roots):
+        raise NoRootError(f"root index {index} out of range ({len(roots)} roots)")
+    return roots[index], index
 
 
 def step_from_root(b: FieldElement, alpha: FieldElement, root_index: int = 0) -> RadicalStep:
@@ -111,12 +125,13 @@ def radical_step_5(b: FieldElement, policy: str = "canonical") -> RadicalStep:
     For N = 5 the radicand t_5(P, -P) is b itself; the Miller check in
     `verify` ties the two together independently of this function.
     """
+    index = _parse_policy(policy)
     _check_params(b)
-    return _step_unchecked(b, policy)
+    return _step_unchecked(b, index)
 
 
-def _step_unchecked(b: FieldElement, policy: str) -> RadicalStep:
-    alpha, idx = _pick_root(nth_roots(b, 5), policy)
+def _step_unchecked(b: FieldElement, index) -> RadicalStep:
+    alpha, idx = _pick_root(nth_roots(b, 5), index)
     return step_from_root(b, alpha, idx)
 
 
@@ -146,16 +161,18 @@ def distinguished_point_5(b: FieldElement, alpha: FieldElement) -> Point:
 def radical_chain(b0: FieldElement, steps: int, policy: str = "canonical") -> ChainResult:
     """Iterate the radical step; deterministic given (b0, policy).
 
-    Only b0 is validated here: `step_from_root` rejects a degenerate
-    successor, so every later input is already known to be valid.
+    The policy is parsed and b0 validated once, here: `step_from_root`
+    rejects a degenerate successor, so every later input is already known
+    to be valid.
     """
     _check_steps(steps)
+    index = _parse_policy(policy)
     _check_params(b0)
     values = [b0]
     b = b0
     for i in range(steps):
         try:
-            step = _step_unchecked(b, policy)
+            step = _step_unchecked(b, index)
         except (DegenerateParams, DegenerateStep, NoRootError) as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
         b = step.b_next

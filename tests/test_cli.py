@@ -69,6 +69,36 @@ class TestChain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv,err", [
+        # zero steps take no root, yet the policy is parsed
+        (("--p", "11", "--b", "2", "--steps", "0", "--policy", "bogus"),
+         "error: unknown root policy 'bogus'\n"),
+        # b = 2 has no fifth root in F_11: the policy is refused first
+        (("--p", "11", "--b", "2", "--steps", "2", "--policy", "bogus"),
+         "error: unknown root policy 'bogus'\n"),
+        # the message names the policy, not int()'s parse error
+        (("--p", "31", "--b", "26", "--steps", "1", "--policy", "index:x"),
+         "error: root policy 'index:x' needs an index i >= 0\n"),
+        # a negative index is malformed, not out of range
+        (("--p", "31", "--b", "26", "--steps", "1", "--policy", "index:-1"),
+         "error: root policy 'index:-1' needs an index i >= 0\n"),
+    ], ids=["bogus-no-steps", "bogus-no-root", "index-x", "index-negative"])
+    def test_malformed_policy_is_a_usage_error(self, capsys, argv, err):
+        assert run_cli(capsys, "chain", *argv) == (1, "", err)
+
+    @pytest.mark.parametrize("argv,err", [
+        (("--p", "31", "--b", "26", "--steps", "1", "--policy", "index:5"),
+         "degenerate instance: step 0: root index 5 out of range (5 roots)\n"),
+        (("--p", "31", "--b", "26", "--steps", "1", "--policy", "unique"),
+         "degenerate instance: step 0: policy 'unique' needs gcd(5, q-1) = 1; "
+         "found 5 roots\n"),
+        (("--p", "11", "--b", "2", "--steps", "1", "--policy", "index:0"),
+         "degenerate instance: step 0: the radicand has no fifth root in this field\n"),
+    ], ids=["index-out-of-range", "unique-many-roots", "no-root"])
+    def test_well_formed_policy_without_a_root_exits_2(self, capsys, argv, err):
+        # the messages of a policy that parses but finds no usable root
+        assert run_cli(capsys, "chain", *argv) == (2, "", err)
+
 
 class TestVerify:
     def test_groups_scope_n5(self, capsys):

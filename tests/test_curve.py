@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from radicant import poly
+from radicant import curve, poly
 from radicant.curve import (
     O,
     Point,
@@ -33,8 +33,6 @@ from radicant.curve import (
     scalar_mul,
     to_tate_normal,
     torsion_basis,
-    trace_of_frobenius,
-    order_over_extension,
     _iso_from,
     _points_for_x,
 )
@@ -50,6 +48,20 @@ from radicant.pairing import weil
 
 def marked_point(ctx):
     return Point(ctx.zero, ctx.zero)
+
+
+def trace_of_frobenius(E):
+    """The Frobenius trace over the curve's own field, by enumeration."""
+    return E.ctx.q + 1 - group_order(E)
+
+
+def order_over_extension(E, d):
+    """#E(F_{q^d}) = q^d + 1 - t_d, with t_d = t t_{d-1} - q t_{d-2}."""
+    q, t = E.ctx.q, trace_of_frobenius(E)
+    t_prev, t_cur = 2, t
+    for _ in range(d - 1):
+        t_prev, t_cur = t_cur, t * t_cur - q * t_prev
+    return q**d + 1 - t_cur
 
 
 class TestGroupLaw:
@@ -225,13 +237,6 @@ class TestEnumeration:
         )
         monkeypatch.setenv("RADICANT_ENUM_BOUND", "7")
         assert enum_bound() == 7
-
-    def test_extension_order_recurrence(self, F13):
-        E = degree5_curve(F13.el(4))
-        ext = make_field(13, 2)
-        from radicant.curve import base_change
-
-        assert order_over_extension(E, 2) == group_order(base_change(E, ext))
 
 
 def random_curves(F, count, rng):
@@ -613,12 +618,68 @@ class TestTorsionBasis:
         assert target is not None
         assert order_over_extension(target, 3) % 25 == 0
         P1, P2 = torsion_basis(target, 5, ext)
-        from radicant.curve import base_change
-
         Ee = base_change(target, ext)
         assert point_order(Ee, P1) == 5 and point_order(Ee, P2) == 5
         e = weil(Ee, P1, P2, 5)
         assert e != ext.one and e**5 == ext.one
+
+    def test_basis_at_61_bits_without_enumeration_or_sampling(self, monkeypatch):
+        # group_order would enumerate 2^61 points; the basis comes from the
+        # roots of psi_5 and the Weil pairing alone
+        F = make_field(2**61 - 1)
+        b = F.el(1754659928281503099)
+        assert not normal_form_discriminant(b, b).is_zero()
+        E = degree5_curve(b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the basis enumerated the curve")
+
+        monkeypatch.setattr(curve, "enumerate_points", refuse)
+        monkeypatch.setattr(curve, "group_order", refuse)
+        curve.reset_sample_count()
+        P1, P2 = torsion_basis(E, 5, F)
+        assert curve.sample_count() == 0
+        assert has_order(E, P1, 5) and has_order(E, P2, 5)
+        e = weil(E, P1, P2, 5)
+        assert e != F.one and e**5 == F.one
+        # the 25 combinations [i]P1 + [j]P2 are all of E[5], so it is rational
+        span = {E.add(E.mul(i, P1), E.mul(j, P2)) for i in range(5) for j in range(5)}
+        assert len(span) == 25
+        assert set(points_of_order(E, 5)) == span - {O}
+
+    def test_basis_exactly_where_the_5_torsion_is_rational_f31(self, F31):
+        # oracle: E[5] is rational when 25 enumerated points are killed by 5
+        rational = []
+        for v in range(1, 31):
+            b = F31.el(v)
+            if normal_form_discriminant(b, b).is_zero():
+                continue
+            E = degree5_curve(b)
+            killed = sum(E.mul(5, P).is_infinity for P in enumerate_points(E))
+            assert (killed == 25) == (len(points_of_order(E, 5)) == 24)
+            if killed == 25:
+                rational.append(v)
+                P1, P2 = torsion_basis(E, 5, F31)
+                assert weil(E, P1, P2, 5) != F31.one
+            else:
+                with pytest.raises(TorsionUnavailable, match=r"E\[5\] is not rational"):
+                    torsion_basis(E, 5, F31)
+        assert rational == [11, 14, 21, 28]
+
+    def test_unavailable_although_25_divides_the_order(self):
+        # over F_101, 25 | #E(F_101) at b = 6 (a point of order 25 lies over
+        # the marked point), yet E[5] is not rational: refused, nothing drawn
+        F = make_field(101)
+        E = degree5_curve(F.el(6))
+        assert group_order(E) % 25 == 0
+        curve.reset_sample_count()
+        with pytest.raises(TorsionUnavailable, match=r"E\[5\] is not rational"):
+            torsion_basis(E, 5, F)
+        assert curve.sample_count() == 0
+
+    def test_even_order_refused(self, F11):
+        with pytest.raises(ValueError, match="odd n"):
+            points_of_order(degree5_curve(F11.el(2)), 4)
 
     def test_rational_order_25_point(self):
         F = make_field(101)

@@ -16,10 +16,10 @@ from radicant.curve import (
     degree5_curve,
     division_polynomial,
     enumerate_points,
+    group_order,
     isomorphism_with_scale,
     isomorphisms,
     normal_form_discriminant,
-    order_over_extension,
     point_order,
     points_of_order,
     rational_point_of_order,
@@ -356,6 +356,17 @@ def _embedded(phi, W):
     return Isogeny(base_change(phi.domain, W), base_change(phi.codomain, W), phi.degree,
                    tuple(W.embed(c) for c in phi.kernel_polynomial),
                    tuple(W.embed(c) for c in phi.x_numerator))
+
+
+def order_over_extension(E, d):
+    """#E(F_{q^d}) = q^d + 1 - t_d from the enumerated trace t of E over its
+    own field, with t_d = t t_{d-1} - q t_{d-2}."""
+    q = E.ctx.q
+    t = q + 1 - group_order(E)
+    t_prev, t_cur = 2, t
+    for _ in range(d - 1):
+        t_prev, t_cur = t_cur, t * t_cur - q * t_prev
+    return q**d + 1 - t_cur
 
 
 class BruteForce:

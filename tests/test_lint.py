@@ -35,6 +35,18 @@ RANDOM_CONSTRUCTORS = {
 }
 
 
+# the one function that draws random curve points: the sampling comparand
+# of `radicant bench`; torsion elsewhere comes from the roots of psi_N
+TORSION_SAMPLERS = {"radical._sampled_distinguished"}
+
+
+def _callee(node):
+    """The name a call node calls: f for f(...), attr for x.attr(...)."""
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    return getattr(node.func, "attr", None)
+
+
 def _scopes_where(predicate):
     """Qualified names (module.Class.function) of the scopes in the library
     that hold a node meeting `predicate`."""
@@ -89,12 +101,23 @@ def test_random_seeded_only_in_allowlisted_functions():
     # depends only on its seed: the Sylow generator depends only on (q, r),
     # so `FieldCtx.sylow` draws it once per field
     found = _scopes_where(
-        lambda node: isinstance(node, ast.Call)
-        and (node.func.id if isinstance(node.func, ast.Name)
-             else getattr(node.func, "attr", None)) == "Random")
+        lambda node: isinstance(node, ast.Call) and _callee(node) == "Random")
     assert found == RANDOM_CONSTRUCTORS, (
         f"Random seeded outside the allowlist: {sorted(found - RANDOM_CONSTRUCTORS)}; "
         f"allowlisted functions that seed none: {sorted(RANDOM_CONSTRUCTORS - found)}")
+
+
+def test_torsion_sampled_only_in_the_bench_comparand():
+    # torsion comes from the roots of psi_N, which needs no group order;
+    # drawing points and reducing them to the N-Sylow part is what the
+    # radical chain avoids, so only the comparand `bench` times it against
+    # may do it
+    found = _scopes_where(
+        lambda node: isinstance(node, ast.Call)
+        and _callee(node) in ("random_point", "_sylow_reduce"))
+    assert found == TORSION_SAMPLERS, (
+        f"torsion sampled outside the comparand: {sorted(found - TORSION_SAMPLERS)}; "
+        f"comparands that sample none: {sorted(TORSION_SAMPLERS - found)}")
 
 
 def test_no_orphan_private_helpers():
@@ -198,8 +221,6 @@ def test_only_field_builds_elements():
         for path in paths
         if path.name != "field.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call)
-        and (node.func.id if isinstance(node.func, ast.Name)
-             else getattr(node.func, "attr", None)) == "FieldElement"
+        if isinstance(node, ast.Call) and _callee(node) == "FieldElement"
     ]
     assert SOURCES and not calls, f"FieldElement built outside field.py: {calls}"

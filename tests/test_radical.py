@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -205,6 +206,33 @@ class TestNoRedundantChecks:
     def test_step_checks_input_and_successor(self, discriminant_calls, p, k, b):
         step = radical_step_5(make_field(p, k).el(b), "unique")
         assert discriminant_calls == [step.b, step.b_next]
+
+    @pytest.mark.parametrize("policy", ["unique", "canonical", "index:0"])
+    def test_chain_parses_its_policy_once(self, monkeypatch, policy):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        parse = radical._parse_policy
+        monkeypatch.setattr(radical, "_parse_policy", counted)
+        radical_chain(make_field(13).el(4), 7, policy)
+        assert calls == [policy]
+
+    @pytest.mark.parametrize("policy", ["bogus", "index:x", "index:-1", "index:", "Unique"])
+    def test_malformed_policy_refused_before_any_root(self, monkeypatch, F11, policy):
+        # b = 2 has no fifth root in F_11, and b = 0 is degenerate: neither
+        # is reached, nor is nth_roots
+        def refuse(*args):
+            raise AssertionError("a root was taken")
+
+        monkeypatch.setattr(radical, "nth_roots", refuse)
+        for b, steps in ((F11.el(2), 0), (F11.el(2), 3), (F11.zero, 1)):
+            with pytest.raises(ValueError, match=re.escape(repr(policy))):
+                radical_chain(b, steps, policy)
+            with pytest.raises(ValueError, match=re.escape(repr(policy))):
+                radical_step_5(b, policy)
 
 
 # F_p with 5 not dividing p - 1 (a unique root), F_p with 5 | p - 1 (five
