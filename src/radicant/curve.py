@@ -4,8 +4,9 @@ Provides the chord-tangent group law, exhaustive point enumeration with a
 Hasse-interval self check, point orders, division polynomials and the
 rational N-torsion read off their roots, torsion bases from the same
 roots and the Weil pairing, the unique normal form carrying a marked point
-at (0,0), and exact isomorphism search between curves.  Random points are
-drawn only for the sampling comparand of `radical.velu_chain`.
+at (0,0), and exact isomorphism search between curves.  Enumeration keeps no
+cache and serves `group_order`, one F_31 pairing claim and the tests; random
+points are drawn only for the sampling comparand of `radical.velu_chain`.
 """
 
 from __future__ import annotations
@@ -250,18 +251,6 @@ def _sqrt_table(ctx: FieldCtx) -> dict:
     return table
 
 
-_SQRT_CACHE: dict = {}
-
-
-def _cached_sqrt_table(ctx: FieldCtx) -> dict:
-    key = ctx._key
-    if key not in _SQRT_CACHE:
-        if len(_SQRT_CACHE) > 8:
-            _SQRT_CACHE.clear()
-        _SQRT_CACHE[key] = _sqrt_table(ctx)
-    return _SQRT_CACHE[key]
-
-
 def _points_for_x(E: WeierstrassCurve, x: FieldElement, sqrt_table=None) -> list:
     """Solutions y of the curve equation at fixed x (0, 1 or 2 points)."""
     ctx = E.ctx
@@ -284,7 +273,7 @@ def enumerate_points(E: WeierstrassCurve) -> list:
     q = E.ctx.q
     if q > enum_bound():
         raise EnumerationBound(f"field of order {q} exceeds the enumeration bound")
-    table = _cached_sqrt_table(E.ctx)
+    table = _sqrt_table(E.ctx)
     pts = [O]
     for x in E.ctx.elements():
         pts.extend(_points_for_x(E, x, table))
@@ -460,20 +449,6 @@ def points_of_order(E: WeierstrassCurve, N: int) -> list:
     if isprime(N):
         return candidates
     return [P for P in candidates if has_order(E, P, N)]
-
-
-def rational_point_of_order(E: WeierstrassCurve, n: int, above: Optional[Point] = None):
-    """First enumerated point R of exact order n, optionally with a marked
-    multiple: when `above` is given, require [n / order(above)] R = above."""
-    for R in enumerate_points(E):
-        if R.is_infinity or not has_order(E, R, n):
-            continue
-        if above is not None:
-            m = point_order(E, above)
-            if E.mul(n // m, R) != above:
-                continue
-        return R
-    return None
 
 
 # ---------------------------------------------------------------------------

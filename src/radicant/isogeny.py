@@ -20,8 +20,8 @@ dual (`_verify_dual`):
   (b) iso scales the invariant differential by u = N, as [N] does.
 (a) gives psi o phi = lambda o [N] for an isomorphism lambda, and (b) makes
 iso o lambda the automorphism with scale 1, the identity for p >= 5.
-`distinguished_points` lists the rational points over the rational roots of
-the dual's fibre polynomial over +-K, of degree N.
+`preimages` lists the rational points over a point, of phi or of its dual,
+from the rational roots of one fibre polynomial of degree N (`_x_fibre`).
 """
 
 from __future__ import annotations
@@ -164,6 +164,9 @@ class DualIsogeny:
     quotient: Isogeny  # codomain -> codomain/phi(E[N])
     back_iso: CurveIso  # isomorphism from the quotient codomain onto E
 
+    domain = property(lambda self: self.quotient.domain)
+    codomain = property(lambda self: self.back_iso.codomain)
+
     @property
     def ext_ctx(self):
         """The field the dual works over, always the base field; kept for
@@ -281,20 +284,40 @@ def cached_dual(phi: Isogeny) -> DualIsogeny:
 
 
 # ---------------------------------------------------------------------------
-# distinguished points
+# the rational points over a point
 # ---------------------------------------------------------------------------
 
-def _fibre_polynomial(dual: DualIsogeny, K: Point) -> list:
-    """num_psi - (r + u^2 x(K)) D^2 for dual = iso o psi, x o psi = num_psi /
-    D^2, iso: x -> (x - r) / u^2: monic of degree N, and its roots are the
-    x(X) with dual(X) = +-K, so every such X lies in E2[N] as
-    [N]X = phi(dual(X)) = phi(+-K) = O for K in ker(phi)."""
-    A = _coeffs(K.x.ctx)
-    iso, psi = dual.back_iso, dual.quotient
-    (c,) = A.unwrap([iso.r + iso.u * iso.u * K.x])
-    D = A.unwrap(psi.kernel_polynomial)
-    return A.wrap(_zip(operator.sub, A.unwrap(psi.x_numerator),
+def _x_fibre(f, x0) -> list:
+    """num - x0 den for the x-map num / den of an Isogeny or a DualIsogeny f:
+    monic of degree deg f, with the x(X) where x(f(X)) = x0 as its roots.
+    The dual iso o psi, iso: x -> (x - r) / u^2, has psi's fibre over
+    r + u^2 x0."""
+    if isinstance(f, DualIsogeny):
+        iso = f.back_iso
+        return _x_fibre(f.quotient, iso.r + iso.u * iso.u * x0)
+    A = _coeffs(x0.ctx)
+    (c,) = A.unwrap([x0])
+    D = A.unwrap(f.kernel_polynomial)
+    return A.wrap(_zip(operator.sub, A.unwrap(f.x_numerator),
                        [c * e for e in _mul(D, D, A)], A))
+
+
+def preimages(f, Q: Point) -> list:
+    """The rational X with f(X) = Q, sorted by (x, y), for an Isogeny or a
+    DualIsogeny f and a finite Q != -Q.  Their x are the rational roots of
+    `_x_fibre(f, x(Q))`; X and -X share x and f(-X) = -f(X), so one
+    evaluation per root decides which of them lies over Q."""
+    E, minus_Q = f.domain, f.codomain.neg(Q)
+    if Q == minus_Q:  # O included
+        raise ValueError("the point must be finite and differ from its negative")
+    out = []
+    for x in poly.roots(_x_fibre(f, Q.x), E.ctx):
+        for X in _points_for_x(E, x)[:1]:  # none where y is irrational
+            image = f(X)
+            if image not in (Q, minus_Q):
+                raise InvariantError("a root of the fibre polynomial is off the fibre")
+            out.append(X if image == Q else E.neg(X))
+    return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
 
 
 def is_distinguished(phi: Isogeny, P2: Point) -> bool:
@@ -307,25 +330,16 @@ def is_distinguished(phi: Isogeny, P2: Point) -> bool:
 
 
 def distinguished_points(phi: Isogeny) -> list:
-    """The rational order-N points P' on the codomain with dual(P') = kernel
-    generator K; points over an extension are not searched.
+    """The rational P' on the codomain with dual(P') = kernel generator K;
+    each has order N, as [N]P' = phi(dual(P')) = phi(K) = O."""
+    return preimages(cached_dual(phi), phi.kernel_generator)
 
-    Their x-coordinates are the rational roots of the dual's fibre
-    polynomial over +-K.  P' and -P' share x, and dual(-P') = -dual(P'); K
-    has odd order, so K != -K and one evaluation per root decides both
-    points.
-    """
-    dual = cached_dual(phi)
-    E2, K = phi.codomain, phi.kernel_generator
-    minus_K = phi.domain.neg(K)
-    out = []
-    for x in poly.roots(_fibre_polynomial(dual, K), E2.ctx):
-        for P2 in _points_for_x(E2, x)[:1]:  # none where y is irrational
-            image = dual(P2)
-            if image == K:
-                out.append(P2)
-            elif image == minus_K:
-                out.append(E2.neg(P2))
-            else:
-                raise InvariantError("a root of the fibre polynomial is off the fibre")
-    return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
+
+def points_above(E: WeierstrassCurve, P: Point) -> list:
+    """The rational R with [N]R = P for P of odd prime order N, sorted by
+    (x, y): as [N] = dual o phi for phi = velu(E, P), phi's points over the
+    dual's points over P.  `dual_isogeny` fills no global cache.  At most
+    one of +-R lies over P, so this is the order of `enumerate_points`."""
+    phi = velu(E, P)
+    above = [R for X in preimages(dual_isogeny(phi), P) for R in preimages(phi, X)]
+    return sorted(above, key=lambda R: (R.x.coeffs, R.y.coeffs))

@@ -25,7 +25,9 @@ from typing import Iterator, Optional
 from .errors import EnumerationBound
 from .miscutil import factorint
 
-SL2_ENUM_BOUND = 50  # default ceiling for the modulus M
+# the most work one call may do: the (a, b, c) triples visited plus the
+# determinant table entries built for them, or `is_normal`'s conjugations
+WORK_CEILING = 1_000_000
 
 KINDS = ("full", "gamma", "gamma1", "gamma0", "gamma1_rescaled")
 
@@ -133,21 +135,27 @@ def _d_solutions(a: int, M: int) -> list:
             for rhs in range(M)]
 
 
-def sl2_elements(M: int, bound: int = SL2_ENUM_BOUND) -> Iterator[tuple]:
-    """All (a, b, c, d) in SL2(Z/M), streamed."""
-    if M > bound:
-        raise EnumerationBound(f"modulus {M} exceeds the enumeration bound {bound}")
-    for a in range(M):
-        d_of = _d_solutions(a, M)
-        for b in range(M):
-            for c in range(M):
-                for d in d_of[(1 + b * c) % M]:
-                    yield (a, b, c, d)
+def _require_work(work: int, what: str):
+    if work > WORK_CEILING:
+        raise EnumerationBound(
+            f"{what} takes {work} steps, above the enumeration bound {WORK_CEILING}")
 
 
-def sl2_count(M: int, bound: int = SL2_ENUM_BOUND) -> int:
+def sl2_elements(M: int) -> Iterator[tuple]:
+    """All (a, b, c, d) in SL2(Z/M), streamed; refused at the call above
+    the work ceiling."""
+    _require_work(M * (M + M * M), f"enumeration mod {M}")
+    return ((a, b, c, d)
+            for a in range(M)
+            for d_of in [_d_solutions(a, M)]
+            for b in range(M)
+            for c in range(M)
+            for d in d_of[(1 + b * c) % M])
+
+
+def sl2_count(M: int) -> int:
     """|SL2(Z/M)| by exhaustive enumeration."""
-    return sum(1 for _ in sl2_elements(M, bound))
+    return sum(1 for _ in sl2_elements(M))
 
 
 def sl2_count_formula(M: int) -> int:
@@ -169,8 +177,10 @@ _CONGRUENCE_STEPS = {
 }
 
 
-def _members(s: SubgroupSpec, bound: int) -> Iterator[tuple]:
-    """The (a, b, c, d) members of s, in the order of sl2_elements.
+def _members(s: SubgroupSpec) -> Iterator[tuple]:
+    """The (a, b, c, d) members of s, in the order of sl2_elements, streamed;
+    refused at the call when its (M/n_a)(M/n_b)(M/n_c) triples and their
+    determinant tables exceed the work ceiling, not for the modulus alone.
 
     Every step divides M (the spec checks N | M, or M = N^2 for the rescaled
     kind), so range(r, M, n) is exactly the residues mod M that are r mod n.
@@ -178,42 +188,41 @@ def _members(s: SubgroupSpec, bound: int) -> Iterator[tuple]:
     filtering on it keeps the generator exact for the table as written.
     """
     M = s.M
-    if M > bound:
-        raise EnumerationBound(f"modulus {M} exceeds the enumeration bound {bound}")
     n_a, n_b, n_c, n_d = (s.N**e for e in _CONGRUENCE_STEPS[s.kind])
+    _require_work((M // n_a) * (M + (M // n_b) * (M // n_c)), f"enumeration mod {M}")
     one_d = 1 % n_d
-    for a in range(1 % n_a, M, n_a):
-        d_of = _d_solutions(a, M)
-        for b in range(0, M, n_b):
-            for c in range(0, M, n_c):
-                for d in d_of[(1 + b * c) % M]:
-                    if d % n_d == one_d:
-                        yield (a, b, c, d)
+    return ((a, b, c, d)
+            for a in range(1 % n_a, M, n_a)
+            for d_of in [_d_solutions(a, M)]
+            for b in range(0, M, n_b)
+            for c in range(0, M, n_c)
+            for d in d_of[(1 + b * c) % M]
+            if d % n_d == one_d)
 
 
-def subgroup_elements(s: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> list:
+def subgroup_elements(s: SubgroupSpec) -> list:
     """All matrices of the finite image, as Mat2 values."""
-    return [Mat2(*t, s.M) for t in _members(s, bound)]
+    return [Mat2(*t, s.M) for t in _members(s)]
 
 
-def subgroup_order(s: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> int:
-    return sum(1 for _ in _members(s, bound))
+def subgroup_order(s: SubgroupSpec) -> int:
+    return sum(1 for _ in _members(s))
 
 
-def _contained_members(sub: SubgroupSpec, sup: SubgroupSpec, bound: int) -> tuple:
+def _contained_members(sub: SubgroupSpec, sup: SubgroupSpec) -> tuple:
     """(members of sub, members of sup) after checking sub lies in sup."""
-    sub_elems = list(_members(sub, bound))
-    sup_elems = list(_members(sup, bound))
+    sub_members, sup_members = _members(sub), _members(sup)  # both checked first
+    sub_elems, sup_elems = list(sub_members), list(sup_members)
     if not set(sup_elems).issuperset(sub_elems):
         raise ValueError("first argument is not contained in the second")
     return sub_elems, sup_elems
 
 
-def index(sub: SubgroupSpec, sup: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> int:
+def index(sub: SubgroupSpec, sup: SubgroupSpec) -> int:
     """Index of sub in sup over the common finite image."""
     if sub.M != sup.M:
         raise ValueError("index needs a common ambient modulus")
-    sub_elems, sup_elems = _contained_members(sub, sup, bound)
+    sub_elems, sup_elems = _contained_members(sub, sup)
     if len(sup_elems) % len(sub_elems) != 0:
         raise ValueError("orders are incompatible")
     return len(sup_elems) // len(sub_elems)
@@ -225,14 +234,16 @@ class NormalityReport:
     witness: Optional[tuple]  # (g, h, ghg^-1) on failure
 
 
-def is_normal(sub: SubgroupSpec, sup: SubgroupSpec, bound: int = SL2_ENUM_BOUND) -> NormalityReport:
+def is_normal(sub: SubgroupSpec, sup: SubgroupSpec) -> NormalityReport:
     """Exhaustive conjugation test of sub inside sup, with witness.
 
     The witness is the first failing (g, h) with g and h in member order.
+    The |sub| |sup| conjugations are refused above the work ceiling.
     """
     if sub.M != sup.M:
         raise ValueError("normality needs a common ambient modulus")
-    sub_elems, sup_elems = _contained_members(sub, sup, bound)
+    sub_elems, sup_elems = _contained_members(sub, sup)
+    _require_work(len(sub_elems) * len(sup_elems), "the conjugation test")
     sub_set = set(sub_elems)
     M = sup.M
     for g in sup_elems:

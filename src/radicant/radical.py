@@ -23,7 +23,7 @@ from .curve import (
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
-from .isogeny import _fibre_polynomial, cached_dual, distinguished_points, velu
+from .isogeny import _x_fibre, cached_dual, distinguished_points, velu
 from .miscutil import isprime
 
 # b' = alpha num(alpha) / den(alpha) for a fifth root alpha of b, constant first
@@ -189,7 +189,7 @@ def successor_polynomial(b: FieldElement) -> list:
     ctx = b.ctx
     phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
     # the monic quintic g has the roots x(X) with dual(X) = +-(0, 0)
-    g = _fibre_polynomial(cached_dual(phi), phi.kernel_generator)
+    g = _x_fibre(cached_dual(phi), phi.kernel_generator.x)
     num, den = normal_form_b(phi.codomain)
     return poly.charpoly(num, den, g, ctx)
 

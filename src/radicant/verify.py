@@ -26,16 +26,14 @@ from .curve import (
     TateParams,
     degree5_curve,
     enumerate_points,
-    group_order,
     has_order,
     normal_form_discriminant,
     points_of_order,
-    rational_point_of_order,
     torsion_basis,
 )
 from .errors import RadicantError
 from .field import FieldCtx, make_field, nth_roots
-from .isogeny import composition_kernel_polynomial, is_distinguished, velu
+from .isogeny import composition_kernel_polynomial, is_distinguished, points_above, velu
 from .miscutil import primes_in_range
 from .moduli import (
     MarkedPoint,
@@ -139,9 +137,11 @@ def _random_instance(rng: random.Random, primes, fifth_power: bool = False):
 
 def torsion_instances(primes: Iterable[int], full_basis: bool = False):
     """Yield (b, E_b, R), in order of p in `primes` and then of b, for the
-    valid b over F_p whose curve has a rational point of order 25 over the
-    marked point (0, 0); R is the first one enumerated.  With
-    `full_basis`, only curves whose 5-torsion is fully rational as well."""
+    valid b over F_p whose curve has a rational point R of order 25 over
+    the marked point (0, 0); R is the first of `points_above`, which is the
+    first in enumeration order.  With `full_basis`, only curves whose
+    5-torsion is fully rational as well.  Nothing is enumerated: R gives
+    25 | #E, and R with the 24 points of order 5 gives 125 | #E."""
     for p in primes:
         F = make_field(p)
         for bi in range(1, p):
@@ -149,15 +149,12 @@ def torsion_instances(primes: Iterable[int], full_basis: bool = False):
             if normal_form_discriminant(b, b).is_zero():
                 continue
             E = degree5_curve(b)
-            # E[5] and <R> together span a group of order 125
-            if group_order(E) % (125 if full_basis else 25) != 0:
-                continue
-            R = rational_point_of_order(E, 25, above=Point(F.zero, F.zero))
-            if R is None:
+            above = points_above(E, Point(F.zero, F.zero))
+            if not above:
                 continue
             if full_basis and len(points_of_order(E, 5)) != 25 - 1:
                 continue
-            yield b, E, R
+            yield b, E, above[0]
 
 
 # ---------------------------------------------------------------------------

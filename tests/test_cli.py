@@ -317,13 +317,19 @@ class TestOtherCommands:
         assert "empty level range '7..5'" in err
 
     def test_groups_resource_ceiling_exits_4(self, capsys):
-        # modulus 64 exceeds modgroup.SL2_ENUM_BOUND: a resource ceiling,
-        # not a usage error
-        code, out, err = run_cli(capsys, "groups", "--n", "8")
+        # level 40 needs 1600 * 40^3 conjugations, above modgroup.WORK_CEILING:
+        # a resource ceiling, not a usage error
+        code, out, err = run_cli(capsys, "groups", "--n", "40")
         assert code == 4
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "enumeration bound" in err
+
+    def test_groups_level_8_within_the_work_ceiling(self, capsys):
+        # modulus 64 exceeded the former modulus ceiling of 50
+        code, out, _ = run_cli(capsys, "groups", "--n", "8")
+        assert code == 0
+        assert json.loads(out)["groups"][0]["sl2_order_mod_n2"] == 196608
 
     def test_pairing_output(self, capsys):
         code, out, _ = run_cli(capsys, "pairing", "--p", "11", "--b", "2")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from radicant import curve, field, isogeny, poly
+from radicant import curve, field, isogeny, poly, verify
 from radicant.curve import (
     O,
     CurveIso,
@@ -22,7 +22,6 @@ from radicant.curve import (
     normal_form_discriminant,
     point_order,
     points_of_order,
-    rational_point_of_order,
 )
 from radicant.errors import DegenerateParams, InvariantError
 from radicant.field import make_field
@@ -36,9 +35,12 @@ from radicant.isogeny import (
     evaluate,
     from_kernel_polynomial,
     is_distinguished,
+    points_above,
+    preimages,
     velu,
 )
 from radicant.radical import velu_reference_step
+from radicant.verify import PRIMES_1_MOD_25, torsion_instances
 
 
 def marked(ctx):
@@ -171,7 +173,7 @@ class TestVelu:
     def test_image_of_order_25_point_has_order_5(self):
         F = make_field(101)
         E = degree5_curve(F.el(6))
-        R = rational_point_of_order(E, 25, above=marked(F))
+        R = points_above(E, marked(F))[0]
         phi = velu(E, marked(F))
         img = evaluate(phi, R)
         assert point_order(phi.codomain, img) == 5
@@ -506,7 +508,7 @@ class TestDistinguished:
         F = make_field(101)
         E = degree5_curve(F.el(6))
         P = marked(F)
-        R = rational_point_of_order(E, 25, above=P)
+        R = points_above(E, P)[0]
         phi = velu(E, P)
         assert is_distinguished(phi, evaluate(phi, R))
 
@@ -585,6 +587,86 @@ class TestDistinguished:
             is_distinguished(phi, O)
 
 
+def lifts_by_enumeration(E, P):
+    """The rational R with [5]R = P, in enumeration order: none unless 25
+    divides the point count."""
+    pts = enumerate_points(E)
+    if len(pts) % 25:
+        return []
+    return [R for R in pts[1:] if E.mul(5, R) == P]
+
+
+class TestPointsAbove:
+    @pytest.mark.parametrize("p, lifted", [(31, 4), (101, 12)])
+    def test_every_valid_b_against_enumeration(self, p, lifted):
+        F = make_field(p)
+        found = 0
+        for v in range(1, p):
+            b = F.el(v)
+            if normal_form_discriminant(b, b).is_zero():
+                continue
+            E = degree5_curve(b)
+            above = points_above(E, marked(F))
+            assert above == lifts_by_enumeration(E, marked(F)), v
+            found += bool(above)
+        assert found == lifted
+
+    @pytest.mark.parametrize("b, count", [((4, 4), 25), ((3, 5), 5), ((0, 1), 0), ((0, 2), 0)])
+    def test_over_f121(self, b, count):
+        F = make_field(11, 2)
+        E = degree5_curve(F.el(b))
+        above = points_above(E, marked(F))
+        assert len(above) == count
+        assert above == lifts_by_enumeration(E, marked(F))
+
+    @pytest.mark.parametrize("p, b", [(31, 11), (13, 4)])
+    def test_preimages_of_every_point_against_enumeration(self, p, b):
+        F = make_field(p)
+        E = degree5_curve(F.el(b))
+        phi = velu(E, marked(F))
+        for f in (phi, dual_isogeny(phi)):
+            pts = enumerate_points(f.domain)
+            for Q in enumerate_points(f.codomain)[1:]:
+                if Q == f.codomain.neg(Q):
+                    with pytest.raises(ValueError, match="differ from its negative"):
+                        preimages(f, Q)
+                    continue
+                want = sorted((X for X in pts if f(X) == Q),
+                              key=lambda X: (X.x.coeffs, X.y.coeffs))
+                assert preimages(f, Q) == want
+        with pytest.raises(ValueError):
+            preimages(phi, O)
+
+    def test_order_3_points_above(self):
+        # y^2 = x^3 + 5 over F_19 has 27 points and a rational E[3]: 18 of
+        # them have order 9, each over one of the 8 points of order 3
+        F = make_field(19)
+        E = WeierstrassCurve(F.zero, F.zero, F.zero, F.zero, F.el(5))
+        pts = enumerate_points(E)
+        lifts = 0
+        for P in points_of_order(E, 3):
+            above = points_above(E, P)
+            assert above == [R for R in pts if E.mul(3, R) == P]
+            lifts += len(above)
+        assert len(pts) == 27 and lifts == 18
+
+    def test_torsion_instances_enumerate_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the instance search enumerated the curve")
+
+        monkeypatch.setattr(curve, "enumerate_points", refuse)
+        monkeypatch.setattr(curve, "group_order", refuse)
+        monkeypatch.setattr(verify, "enumerate_points", refuse)
+        got = [(b.ctx.p, b.to_int(), R.x.to_int(), R.y.to_int())
+               for b, _, R in itertools.islice(torsion_instances(PRIMES_1_MOD_25), 10)]
+        assert got == [(101, 6, 18, 91), (101, 14, 7, 62), (101, 32, 22, 100),
+                       (101, 36, 8, 69), (101, 39, 5, 32), (101, 41, 7, 67),
+                       (101, 44, 15, 81), (101, 60, 26, 98), (101, 65, 10, 36),
+                       (101, 69, 19, 14)]
+        b, _, R = next(torsion_instances((251, 401, 601), full_basis=True))
+        assert (b.ctx.p, b.to_int(), R.x.to_int(), R.y.to_int()) == (251, 2, 4, 39)
+
+
 def kernel_by_enumeration(phi, psi):
     """ker(psi o phi) by evaluating both maps on every rational point."""
     return [X for X in enumerate_points(phi.domain) if psi(phi(X)).is_infinity]
@@ -603,7 +685,7 @@ class TestCompositionKernel:
         F = make_field(101)
         E = degree5_curve(F.el(6))
         P = marked(F)
-        R = rational_point_of_order(E, 25, above=P)
+        R = points_above(E, P)[0]
         phi = velu(E, P)
         psi = velu(phi.codomain, evaluate(phi, R))
         kernel_poly = composition_kernel_polynomial(phi, psi.kernel_polynomial)

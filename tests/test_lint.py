@@ -9,6 +9,8 @@ import subprocess
 import symtable
 import sys
 
+import pytest
+
 import radicant
 from radicant.isogeny import DualIsogeny
 
@@ -118,6 +120,25 @@ def test_torsion_sampled_only_in_the_bench_comparand():
     assert found == TORSION_SAMPLERS, (
         f"torsion sampled outside the comparand: {sorted(found - TORSION_SAMPLERS)}; "
         f"comparands that sample none: {sorted(TORSION_SAMPLERS - found)}")
+
+
+# the callers in the library of the exhaustive point count: an O(q) scan
+# reached from elsewhere makes that path hang on a large field, where the
+# roots of a division or fibre polynomial give the same points
+ENUMERATION_CALLERS = {
+    "enumerate_points": {"curve.group_order", "verify.pairing_properties_f31.properties"},
+    "group_order": {"curve.point_order", "radical._sampled_distinguished"},
+}
+
+
+@pytest.mark.parametrize("callee", sorted(ENUMERATION_CALLERS))
+def test_points_enumerated_only_by_the_oracles(callee):
+    allowed = ENUMERATION_CALLERS[callee]
+    found = _scopes_where(
+        lambda node: isinstance(node, ast.Call) and _callee(node) == callee)
+    assert found == allowed, (
+        f"{callee} called outside the allowlist: {sorted(found - allowed)}; "
+        f"allowlisted functions that call none: {sorted(allowed - found)}")
 
 
 def test_no_orphan_private_helpers():

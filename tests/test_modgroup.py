@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from radicant import modgroup
 from radicant.errors import EnumerationBound
 from radicant.modgroup import (
-    SL2_ENUM_BOUND,
     Mat2,
     NormalityReport,
     SubgroupSpec,
@@ -52,8 +52,9 @@ class TestCounts:
             assert sl2_count(M) == sl2_count_formula(M)
 
     def test_bound(self):
-        with pytest.raises(EnumerationBound):
-            sl2_count(51)
+        # M = 100 takes 100 (100 + 100^2) steps, just above the work ceiling
+        with pytest.raises(EnumerationBound, match="enumeration mod 100"):
+            sl2_count(100)
 
     def test_stream_members_have_det_one(self):
         for a, b, c, d in sl2_elements(8):
@@ -158,7 +159,7 @@ class TestGeneratedMembers:
         mats = [Mat2(*t, M) for t in sl2_elements(M)]
         for s in _specs_at(M):
             expected = [m.entries() for m in mats if member(m, s)]
-            assert list(_members(s, SL2_ENUM_BOUND)) == expected, s
+            assert list(_members(s)) == expected, s
 
     @pytest.mark.parametrize("call", [
         lambda s, t: subgroup_order(s),
@@ -166,15 +167,36 @@ class TestGeneratedMembers:
         lambda s, t: index(s, t),
         lambda s, t: is_normal(s, t),
     ], ids=["subgroup_order", "subgroup_elements", "index", "is_normal"])
-    def test_enumeration_bound(self, call):
-        with pytest.raises(EnumerationBound):
-            call(SubgroupSpec("gamma1", 8, 64), SubgroupSpec("gamma0", 8, 64))
+    def test_enumeration_bound(self, call, monkeypatch):
+        # both specs step through 200 * 100 * 100 triples; refused before
+        # any determinant table is built
+        def refuse(*args):
+            raise AssertionError("enumerated before the ceiling check")
 
-    def test_bound_is_the_modulus(self):
-        # a small subgroup above the bound is still refused
+        monkeypatch.setattr(modgroup, "_d_solutions", refuse)
         with pytest.raises(EnumerationBound):
-            subgroup_order(SubgroupSpec("gamma", 8, 8), bound=7)
-        assert subgroup_order(SubgroupSpec("gamma", 8, 8), bound=8) == 1
+            call(SubgroupSpec("gamma1", 2, 200), SubgroupSpec("gamma0", 2, 200))
+
+    def test_bound_counts_the_steps_not_the_modulus(self):
+        # at one modulus, the full group is refused and Gamma1(M) answered
+        with pytest.raises(EnumerationBound):
+            subgroup_order(SubgroupSpec("full", 1, 120))
+        assert subgroup_order(SubgroupSpec("gamma1", 120, 120)) == 120
+
+    def test_small_subgroup_at_a_large_modulus_is_answered(self):
+        # Gamma(M) = {1} and Gamma1(M) = {[[1, b], [0, 1]]} at M = 1000, far
+        # above the old modulus ceiling of 50
+        gamma, gamma1 = SubgroupSpec("gamma", 1000, 1000), SubgroupSpec("gamma1", 1000, 1000)
+        assert subgroup_elements(gamma) == [identity(1000)]
+        assert index(gamma, gamma1) == 1000
+        assert is_normal(gamma, gamma1).normal
+
+    def test_conjugation_test_bound(self):
+        # Gamma1(1600) and the rescaled group at N = 40 pass the enumeration
+        # ceiling, but |sub| |sup| = 1600 * 40^3 conjugations do not
+        with pytest.raises(EnumerationBound, match="conjugation test"):
+            is_normal(SubgroupSpec("gamma1", 1600, 1600),
+                      SubgroupSpec("gamma1_rescaled", 40, 1600))
 
 
 class TestIndex:

@@ -15,12 +15,11 @@ from radicant.curve import (
     find_isomorphism,
     normal_form_discriminant,
     point_order,
-    rational_point_of_order,
     torsion_basis,
 )
 from radicant.errors import ContextMismatch, DegenerateParams
 from radicant.field import make_field
-from radicant.isogeny import is_distinguished
+from radicant.isogeny import is_distinguished, points_above
 from radicant.moduli import (
     MarkedPoint,
     MarkedSubgroup,
@@ -145,7 +144,7 @@ def action_instance():
     F = make_field(251)
     E = degree5_curve(F.el(2))
     P = Point(F.zero, F.zero)
-    R = rational_point_of_order(E, 25, above=P)
+    R = points_above(E, P)[0]
     basis = torsion_basis(E, 5, F)
     return F, E, P, R, basis
 
@@ -185,7 +184,7 @@ def marked25():
     F = make_field(101)
     E = degree5_curve(F.el(6))
     P = Point(F.zero, F.zero)
-    R = rational_point_of_order(E, 25, above=P)
+    R = points_above(E, P)[0]
     return F, E, P, MarkedPoint(E, R, 25)
 
 
