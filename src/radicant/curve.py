@@ -353,9 +353,7 @@ def torsion_basis(E: WeierstrassCurve, N: int, ext: FieldCtx):
     Eext = base_change(E, ext)
     points = points_of_order(Eext, N)
     for P2 in points[1:]:
-        e = weil(Eext, points[0], P2, N)
-        if e**N != ext.one:
-            raise InvariantError("Weil value is not an N-th root of unity")
+        e = weil(Eext, points[0], P2, N)  # an N-th root of unity, or InvariantError
         if order_dividing(N, lambda m: e**m == ext.one) == N:
             return points[0], P2
     raise TorsionUnavailable(f"E[{N}] is not rational over {ext}")

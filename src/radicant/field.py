@@ -437,7 +437,7 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
 
 
 def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Functional form of the four basic operations (used by the CLI)."""
+    """Functional form of the four basic operations, exported; no library code calls it."""
     if op == "add":
         return a + b
     if op == "sub":

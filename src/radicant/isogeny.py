@@ -22,6 +22,7 @@ dual (`_verify_dual`):
 iso o lambda the automorphism with scale 1, the identity for p >= 5.
 `preimages` lists the rational points over a point, of phi or of its dual,
 from the rational roots of one fibre polynomial of degree N (`_x_fibre`).
+A dual is a value: `distinguished_points` and `is_distinguished` take it.
 """
 
 from __future__ import annotations
@@ -268,19 +269,9 @@ def dual_isogeny(phi: Isogeny) -> DualIsogeny:
     return dual
 
 
-_DUAL_CACHE: dict = {}
-
-
 def cached_dual(phi: Isogeny) -> DualIsogeny:
-    """`dual_isogeny(phi)`, memoised.  The key holds the kernel generator:
-    phis with one kernel but different generators share the dual map, but
-    each dual's `forward` must be the phi it was asked for."""
-    key = (phi.domain, phi.kernel_polynomial, phi.kernel_generator)
-    if key not in _DUAL_CACHE:
-        if len(_DUAL_CACHE) > 64:
-            _DUAL_CACHE.clear()
-        _DUAL_CACHE[key] = dual_isogeny(phi)
-    return _DUAL_CACHE[key]
+    """`dual_isogeny(phi)`; only the benchmark tracer reads it (ROADMAP item 1)."""
+    return dual_isogeny(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +311,26 @@ def preimages(f, Q: Point) -> list:
     return sorted(out, key=lambda P: (P.x.coeffs, P.y.coeffs))
 
 
-def is_distinguished(phi: Isogeny, P2: Point) -> bool:
-    """True when the dual sends P2 back to the kernel generator itself."""
+def is_distinguished(dual: DualIsogeny, P2: Point) -> bool:
+    """True when the dual sends P2 back to the kernel generator of phi = dual.forward."""
+    phi = dual.forward
     phi.codomain.require(P2)
-    N = phi.degree
-    if P2.is_infinity or not has_order(phi.codomain, P2, N):
+    if P2.is_infinity or not has_order(phi.codomain, P2, phi.degree):
         raise ValueError("candidate must have exact order deg(phi) on the codomain")
-    return cached_dual(phi)(P2) == phi.kernel_generator
+    return dual(P2) == phi.kernel_generator
 
 
-def distinguished_points(phi: Isogeny) -> list:
-    """The rational P' on the codomain with dual(P') = kernel generator K;
-    each has order N, as [N]P' = phi(dual(P')) = phi(K) = O."""
-    return preimages(cached_dual(phi), phi.kernel_generator)
+def distinguished_points(dual: DualIsogeny) -> list:
+    """The rational P' with dual(P') = K, the kernel generator of phi =
+    dual.forward; each has order N, as [N]P' = phi(dual(P')) = phi(K) = O."""
+    return preimages(dual, dual.forward.kernel_generator)
 
 
 def points_above(E: WeierstrassCurve, P: Point) -> list:
     """The rational R with [N]R = P for P of odd prime order N, sorted by
     (x, y): as [N] = dual o phi for phi = velu(E, P), phi's points over the
-    dual's points over P.  `dual_isogeny` fills no global cache.  At most
-    one of +-R lies over P, so this is the order of `enumerate_points`."""
+    dual's points over P.  At most one of +-R lies over P, so this is the
+    order of `enumerate_points`."""
     phi = velu(E, P)
     above = [R for X in preimages(dual_isogeny(phi), P) for R in preimages(phi, X)]
     return sorted(above, key=lambda R: (R.x.coeffs, R.y.coeffs))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import EnumerationBound
 from .miscutil import factorint
@@ -177,6 +177,10 @@ _CONGRUENCE_STEPS = {
 }
 
 
+def _steps(s: SubgroupSpec) -> tuple:
+    return tuple(s.N**e for e in _CONGRUENCE_STEPS[s.kind])
+
+
 def _members(s: SubgroupSpec) -> Iterator[tuple]:
     """The (a, b, c, d) members of s, in the order of sl2_elements, streamed;
     refused at the call when its (M/n_a)(M/n_b)(M/n_c) triples and their
@@ -188,7 +192,7 @@ def _members(s: SubgroupSpec) -> Iterator[tuple]:
     filtering on it keeps the generator exact for the table as written.
     """
     M = s.M
-    n_a, n_b, n_c, n_d = (s.N**e for e in _CONGRUENCE_STEPS[s.kind])
+    n_a, n_b, n_c, n_d = _steps(s)
     _require_work((M // n_a) * (M + (M // n_b) * (M // n_c)), f"enumeration mod {M}")
     one_d = 1 % n_d
     return ((a, b, c, d)
@@ -209,23 +213,21 @@ def subgroup_order(s: SubgroupSpec) -> int:
     return sum(1 for _ in _members(s))
 
 
-def _contained_members(sub: SubgroupSpec, sup: SubgroupSpec) -> tuple:
-    """(members of sub, members of sup) after checking sub lies in sup."""
-    sub_members, sup_members = _members(sub), _members(sup)  # both checked first
-    sub_elems, sup_elems = list(sub_members), list(sup_members)
-    if not set(sup_elems).issuperset(sub_elems):
-        raise ValueError("first argument is not contained in the second")
-    return sub_elems, sup_elems
+def _require_contained(sub_members: Iterable[tuple], sup: SubgroupSpec):
+    """Streams sub's members through sup's congruences, read off its steps
+    rather than `member`'s if-chain, which stays the oracle for `_members`."""
+    n_a, n_b, n_c, n_d = _steps(sup)
+    for a, b, c, d in sub_members:
+        if not (a % n_a == 1 % n_a and b % n_b == 0 and c % n_c == 0 and d % n_d == 1 % n_d):
+            raise ValueError("first argument is not contained in the second")
 
 
 def index(sub: SubgroupSpec, sup: SubgroupSpec) -> int:
-    """Index of sub in sup over the common finite image."""
+    """Index of sub in sup over the common finite image, listing no member."""
     if sub.M != sup.M:
         raise ValueError("index needs a common ambient modulus")
-    sub_elems, sup_elems = _contained_members(sub, sup)
-    if len(sup_elems) % len(sub_elems) != 0:
-        raise ValueError("orders are incompatible")
-    return len(sup_elems) // len(sub_elems)
+    _require_contained(_members(sub), sup)
+    return subgroup_order(sup) // subgroup_order(sub)
 
 
 @dataclass(frozen=True)
@@ -242,11 +244,12 @@ def is_normal(sub: SubgroupSpec, sup: SubgroupSpec) -> NormalityReport:
     """
     if sub.M != sup.M:
         raise ValueError("normality needs a common ambient modulus")
-    sub_elems, sup_elems = _contained_members(sub, sup)
-    _require_work(len(sub_elems) * len(sup_elems), "the conjugation test")
+    sub_elems = list(_members(sub))
+    _require_contained(sub_elems, sup)
+    _require_work(len(sub_elems) * subgroup_order(sup), "the conjugation test")
     sub_set = set(sub_elems)
     M = sup.M
-    for g in sup_elems:
+    for g in _members(sup):
         ga, gb, gc, gd = g
         for h in sub_elems:
             ha, hb, hc, hd = h

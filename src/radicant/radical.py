@@ -5,7 +5,7 @@ through a fifth root of the radicand, with no torsion-point sampling.  The
 reference oracle recomputes the legal successors from first principles
 (quotient isogeny, dual, distinguished points): `successor_polynomial(b)`,
 whose roots are the five successors (the fibre over b on X_1(5)), is tested
-against the step's own `radical_successor_polynomial(b)`.
+against the step's own `radical_successor_polynomial(b)`; no dual is memoised.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .curve import (
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
 from .field import FieldCtx, FieldElement, nth_roots
-from .isogeny import _x_fibre, cached_dual, distinguished_points, velu
+from .isogeny import _x_fibre, distinguished_points, dual_isogeny, velu
 from .miscutil import isprime
 
 # b' = alpha num(alpha) / den(alpha) for a fifth root alpha of b, constant first
@@ -180,18 +180,22 @@ def radical_chain(b0: FieldElement, steps: int, policy: str = "canonical") -> Ch
     return ChainResult(tuple(values), b0.ctx, policy)
 
 
+def _velu_reference(b: FieldElement) -> tuple:
+    """The dual of phi = velu(E_b, (0, 0)), and `normal_form_b` of phi's codomain."""
+    _check_params(b)
+    phi = velu(degree5_curve(b), Point(b.ctx.zero, b.ctx.zero))
+    return dual_isogeny(phi), normal_form_b(phi.codomain)
+
+
 def successor_polynomial(b: FieldElement) -> list:
     """S_b(Y) = prod (Y - b') over the five successors b' of b, with
     multiplicity, over the base field: the characteristic polynomial of
     b'(x) modulo g, as the distinguished points and their negatives give
     the same b'."""
-    _check_params(b)
-    ctx = b.ctx
-    phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
+    dual, (num, den) = _velu_reference(b)
     # the monic quintic g has the roots x(X) with dual(X) = +-(0, 0)
-    g = _x_fibre(cached_dual(phi), phi.kernel_generator.x)
-    num, den = normal_form_b(phi.codomain)
-    return poly.charpoly(num, den, g, ctx)
+    g = _x_fibre(dual, dual.forward.kernel_generator.x)
+    return poly.charpoly(num, den, g, b.ctx)
 
 
 def radical_successor_polynomial(b: FieldElement) -> list:
@@ -215,12 +219,9 @@ def velu_reference_step(b: FieldElement) -> list:
     j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4: S_b has the roots 4 and 18
     twice; this list is [4]).
     `successor_polynomial` has all five."""
-    _check_params(b)
-    ctx = b.ctx
-    phi = velu(degree5_curve(b), Point(ctx.zero, ctx.zero))
-    num, den = normal_form_b(phi.codomain)
+    dual, (num, den) = _velu_reference(b)
     return sorted({poly.value_and_derivative(num, P.x)[0] / poly.value_and_derivative(den, P.x)[0]
-                   for P in distinguished_points(phi)}, key=lambda e: e.coeffs)
+                   for P in distinguished_points(dual)}, key=lambda e: e.coeffs)
 
 
 def radical_poly_irreducible(rho: FieldElement, n: int, ctx: FieldCtx) -> bool:
@@ -282,7 +283,7 @@ def _sampled_distinguished(phi) -> list:
     E2 = phi.codomain
     n = group_order(phi.domain)  # isogenous curves have equal counts
     rng = _rng_for(E2, "bench-sampling")
-    dual = cached_dual(phi)
+    dual = dual_isogeny(phi)
     seen = set()
     found = []
     for _ in range(200):

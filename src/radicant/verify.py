@@ -33,7 +33,13 @@ from .curve import (
 )
 from .errors import RadicantError
 from .field import FieldCtx, make_field, nth_roots
-from .isogeny import composition_kernel_polynomial, is_distinguished, points_above, velu
+from .isogeny import (
+    composition_kernel_polynomial,
+    dual_isogeny,
+    is_distinguished,
+    points_above,
+    velu,
+)
 from .miscutil import primes_in_range
 from .moduli import (
     MarkedPoint,
@@ -429,14 +435,14 @@ def radical_velu_agreement(rng: random.Random, seed: int) -> Report:
             if len(roots) != 5:
                 continue
             reference = {e.coeffs for e in velu_reference_step(b)}
-            E = degree5_curve(b)
-            phi = velu(E, Point(F.zero, F.zero))
+            phi = velu(degree5_curve(b), Point(F.zero, F.zero))
+            dual = dual_isogeny(phi)
             for i, alpha in enumerate(roots):
                 if step_from_root(b, alpha, i).b_next.coeffs not in reference:
                     break
                 P2 = distinguished_point_5(b, alpha)
                 if not (phi.codomain.contains(P2) and has_order(phi.codomain, P2, 5)
-                        and is_distinguished(phi, P2)):
+                        and is_distinguished(dual, P2)):
                     break
             else:
                 ok += 1
@@ -618,7 +624,7 @@ def rescale_order_and_projection_invariance(instances: list) -> Report:
                 and params_of(proj_quotient(m, 5)[0]).b == b2
                 for m in orbit[1:5]
             )
-            if exact_order and invariant and is_distinguished(phi, mp2.point):
+            if exact_order and invariant and is_distinguished(dual_isogeny(phi), mp2.point):
                 ok += 1
         return ok
 

@@ -345,7 +345,7 @@ class TestOtherDegrees:
             for X in enumerate_points(E):
                 assert dual(evaluate(phi, X)) == E.mul(N, X)
             brute = [P for P in points_of_order(phi.codomain, N) if dual(P) == K]
-            ds = distinguished_points(phi)
+            ds = distinguished_points(dual)
             assert ds == sorted(brute, key=lambda P: (P.x.coeffs, P.y.coeffs))
             nonempty += bool(ds)
         assert nonempty
@@ -510,7 +510,7 @@ class TestDistinguished:
         P = marked(F)
         R = points_above(E, P)[0]
         phi = velu(E, P)
-        assert is_distinguished(phi, evaluate(phi, R))
+        assert is_distinguished(dual_isogeny(phi), evaluate(phi, R))
 
     def test_scaled_images_are_not(self):
         # classify all order-5 codomain points by their dual image
@@ -526,8 +526,8 @@ class TestDistinguished:
             images.setdefault(j, []).append(P2)
         # some point maps to [2]P; it must not be distinguished
         assert 2 in images
-        assert all(not is_distinguished(phi, q) for q in images[2])
-        assert all(is_distinguished(phi, q) for q in images.get(1, []))
+        assert all(not is_distinguished(dual, q) for q in images[2])
+        assert all(is_distinguished(dual, q) for q in images.get(1, []))
 
     def test_distinguished_set_size_five_when_rational(self):
         # b a fifth power over p = 1 mod 5: all five distinguished points
@@ -536,17 +536,16 @@ class TestDistinguished:
         b = F.el(2) ** 5
         assert not normal_form_discriminant(b, b).is_zero()
         E = degree5_curve(b)
-        phi = velu(E, marked(F))
-        ds = distinguished_points(phi)
+        dual = dual_isogeny(velu(E, marked(F)))
+        ds = distinguished_points(dual)
         assert len(ds) == 5
         for P2 in ds:
-            assert is_distinguished(phi, P2)
+            assert is_distinguished(dual, P2)
 
     def test_unique_rational_distinguished_f13(self):
         F = make_field(13)
         E = degree5_curve(F.el(4))
-        phi = velu(E, marked(F))
-        ds = distinguished_points(phi)
+        ds = distinguished_points(dual_isogeny(velu(E, marked(F))))
         assert ds == [Point(F.zero, F.el(3))]
 
     @pytest.mark.parametrize("p", [31, 41])
@@ -555,7 +554,6 @@ class TestDistinguished:
         # rational roots of the dual's fibre quintic over +-(0, 0), so the
         # one call factors that quintic and not psi_5; poly.roots goes
         # through poly.factors, so this counts its calls too
-        monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
         F = make_field(p)
         b = next(b for b in (F.el(c) ** 5 for c in range(2, p))
                  if not normal_form_discriminant(b, b).is_zero())
@@ -565,26 +563,29 @@ class TestDistinguished:
                             lambda *args: calls.append(args) or factors(*args))
         assert velu_reference_step(b)
         assert len(calls) == 1
-        phi = velu(degree5_curve(b), marked(F))
-        assert distinguished_points(phi) == [P for P in points_of_order(phi.codomain, 5)
-                      if dual_isogeny(phi)(P) == phi.kernel_generator]
+        dual = dual_isogeny(velu(degree5_curve(b), marked(F)))
+        assert distinguished_points(dual) == [P for P in points_of_order(dual.forward.codomain, 5)
+                      if dual(P) == dual.forward.kernel_generator]
 
-    def test_cached_dual_keeps_the_kernel_generator(self, monkeypatch):
-        # velu(E, K) and velu(E, 2K) share a kernel polynomial; the cache must
-        # still hand each phi a dual whose forward map is that phi
-        monkeypatch.setattr(isogeny, "_DUAL_CACHE", {})
+    def test_dual_keeps_the_kernel_generator(self):
+        # velu(E, K) and velu(E, 2K) share a kernel polynomial and so the
+        # dual map; each dual's forward map is still the phi it was built
+        # from, so the two sets of distinguished points differ
         F = make_field(41)
         E = degree5_curve(F.el(2) ** 5)
         K = marked(F)
         phi, phi2 = velu(E, K), velu(E, E.mul(2, K))
         assert phi.kernel_polynomial == phi2.kernel_polynomial
-        assert isogeny.cached_dual(phi).forward.kernel_generator == K
-        assert isogeny.cached_dual(phi2).forward.kernel_generator == E.mul(2, K)
+        dual, dual2 = dual_isogeny(phi), dual_isogeny(phi2)
+        assert dual.forward.kernel_generator == K
+        assert dual2.forward.kernel_generator == E.mul(2, K)
+        ds, ds2 = distinguished_points(dual), distinguished_points(dual2)
+        assert len(ds) == len(ds2) == 5 and not set(ds) & set(ds2)
 
     def test_wrong_order_rejected(self):
         F, E, phi = phi_f31()
         with pytest.raises(ValueError):
-            is_distinguished(phi, O)
+            is_distinguished(dual_isogeny(phi), O)
 
 
 def lifts_by_enumeration(E, P):
@@ -701,7 +702,7 @@ class TestCompositionKernel:
         F = make_field(251)
         E = degree5_curve(F.el(2))
         phi = velu(E, marked(F))
-        ds = distinguished_points(phi)
+        ds = distinguished_points(dual_isogeny(phi))
         assert len(ds) == 5
         for P2 in ds:
             psi = velu(phi.codomain, P2)

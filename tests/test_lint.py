@@ -3,6 +3,7 @@
 import ast
 import builtins
 import importlib
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -12,6 +13,8 @@ import sys
 import pytest
 
 import radicant
+from radicant import radical
+from radicant.field import make_field
 from radicant.isogeny import DualIsogeny
 
 SOURCES = sorted(pathlib.Path(radicant.__file__).parent.glob("*.py"))
@@ -228,6 +231,90 @@ def test_names_the_benchmark_tracer_reads_exist():
                if not hasattr(importlib.import_module(f"radicant.{module}"), name)]
     assert traced and not missing, f"names the tracer reads are gone: {missing}"
     assert hasattr(DualIsogeny, "ext_ctx")
+
+
+def test_traced_reference_step_counts_its_layers():
+    # `perfbench/run.py --trace 1` rebinds every TRACED function across the
+    # package and reads `group_order.cache_info()`; a library edit that
+    # breaks that path fails here and not only in a traced benchmark run
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    bindings = {(name, attr): value for name, module in list(sys.modules.items())
+                if name.split(".")[0] == "radicant"
+                for attr, value in vars(module).items() if callable(value)}
+    F = make_field(41)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.rebound
+        successors = tracer.op(radical.velu_reference_step, F.el(2) ** 5)
+    finally:
+        tracer.uninstall()
+    assert not tracer.rebound
+    assert {key: getattr(sys.modules[key[0]], key[1]) for key in bindings} == bindings
+    assert len(successors) == 5
+    metrics = tracer.metrics()
+    calls = {name: metrics[f"{name}.calls"] for name in
+             ("velu_reference_step", "distinguished_points", "dual_isogeny", "cached_dual")}
+    assert calls == {"velu_reference_step": 1, "distinguished_points": 1,
+                     "dual_isogeny": 1, "cached_dual": 0}
+
+
+# the library's process-global state: `curve._sample_count` waits for the
+# counting spine (ROADMAP item 2), `curve.group_order`'s lru_cache for the
+# baby-step giant-step order (items 3 and 7)
+GLOBAL_STATE = {"curve._sample_count", "curve.group_order"}
+
+_MUTATING_METHODS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+                     "popitem", "remove", "setdefault", "update"}
+
+
+def test_global_state_is_allowlisted():
+    # state a later call sees, so one caller or test can change the next: a
+    # module-level container the library writes into, a name a function
+    # rebinds with `global`, or a memoised function
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    containers = {}  # name -> module
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                    isinstance(node.value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                            ast.ListComp, ast.SetComp))
+                    or isinstance(node.value, ast.Call) and _callee(node.value) in (
+                        "dict", "list", "set", "defaultdict", "OrderedDict", "deque")):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                containers.update({t.id: module for t in targets if isinstance(t, ast.Name)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.update(f"{module}.{name}" for name in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    called = _callee(dec) if isinstance(dec, ast.Call) else (
+                        getattr(dec, "id", None) or getattr(dec, "attr", None))
+                    if called in ("lru_cache", "cache"):
+                        found.add(f"{module}.{node.name}")
+
+    def container(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        return name if name in containers else None
+
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                name = container(node.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATING_METHODS:
+                name = container(node.func.value)
+            else:
+                continue
+            if name is not None:
+                found.add(f"{containers[name]}.{name}")
+    assert found == GLOBAL_STATE, (
+        f"global state outside the allowlist: {sorted(found - GLOBAL_STATE)}; "
+        f"allowlisted names that hold none: {sorted(GLOBAL_STATE - found)}")
 
 
 def test_only_field_builds_elements():

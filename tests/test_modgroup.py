@@ -161,6 +161,18 @@ class TestGeneratedMembers:
             expected = [m.entries() for m in mats if member(m, s)]
             assert list(_members(s)) == expected, s
 
+    @pytest.mark.parametrize("M", [1, 4, 6, 8, 9])
+    def test_containment_matches_member_oracle(self, M):
+        # index streams sub through sup's congruence steps; `member` on each
+        # matrix of sub is the oracle for which pairs it refuses
+        specs = _specs_at(M)
+        for sub, sup in itertools.product(specs, specs):
+            if all(member(m, sup) for m in subgroup_elements(sub)):
+                assert index(sub, sup) * subgroup_order(sub) == subgroup_order(sup)
+            else:
+                with pytest.raises(ValueError, match="not contained"):
+                    index(sub, sup)
+
     @pytest.mark.parametrize("call", [
         lambda s, t: subgroup_order(s),
         lambda s, t: subgroup_elements(s),

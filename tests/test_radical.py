@@ -16,7 +16,7 @@ from radicant.curve import (
 )
 from radicant.errors import DegenerateParams, DegenerateStep, NoRootError, RadicantError
 from radicant.field import make_field, nth_roots
-from radicant.isogeny import is_distinguished, velu
+from radicant.isogeny import dual_isogeny, is_distinguished, velu
 from radicant.radical import (
     ChainResult,
     distinguished_point_5,
@@ -128,11 +128,12 @@ class TestDistinguishedPoint:
         b = F.el(2) ** 5
         E = degree5_curve(b)
         phi = velu(E, Point(F.zero, F.zero))
+        dual = dual_isogeny(phi)
         for alpha in nth_roots(b, 5):
             P2 = distinguished_point_5(b, alpha)
             assert phi.codomain.contains(P2)
             assert point_order(phi.codomain, P2) == 5
-            assert is_distinguished(phi, P2)
+            assert is_distinguished(dual, P2)
 
     def test_f13_closed_form_point(self, F13):
         b = F13.el(4)
