@@ -462,6 +462,12 @@ def normal_form_discriminant(b: FieldElement, c: FieldElement) -> FieldElement:
     return b**3 * inner
 
 
+def degree5_discriminant(b: FieldElement) -> FieldElement:
+    """Delta(b) = b^5 (b^2 - 11b - 1), the discriminant of `degree5_curve(b)`:
+    `normal_form_discriminant(b, b)` in factored form."""
+    return b**5 * (b * (b - 11) - 1)
+
+
 @dataclass(frozen=True)
 class TateParams:
     """Parameters (b, c) of the unique normal form with marked point (0,0)."""
@@ -491,10 +497,9 @@ def degree5_curve(b: FieldElement) -> WeierstrassCurve:
 def degree5_j_invariant(b: FieldElement) -> FieldElement:
     """j of `degree5_curve(b)` without building it: the j-map of X_1(5),
     (b^4 - 12b^3 + 14b^2 + 12b + 1)^3 / Delta(b).  The numerator is c4^3;
-    Delta(b) = b^5 (b^2 - 11b - 1) is `normal_form_discriminant(b, b)`, and
-    where it vanishes DegenerateParams is raised as `degree5_curve` raises
-    it."""
-    delta = normal_form_discriminant(b, b)
+    where Delta(b) = `degree5_discriminant(b)` vanishes DegenerateParams is
+    raised as `degree5_curve` raises it."""
+    delta = degree5_discriminant(b)
     if delta.is_zero():
         raise DegenerateParams("normal-form discriminant vanishes")
     c4 = b * (b * (b * (b - 12) + 14) + 12) + 1

@@ -1,9 +1,10 @@
 """Prime fields F_p and small extensions F_{p^k}.
 
-Elements carry their coefficient vector (constant term first) plus a
-reference to the field context.  Everything is immutable, so values can be
-shared freely.  The canonical ordering used everywhere downstream is the
-lexicographic order on coefficient tuples.
+An element holds its value plus a reference to the field context: over
+F_p the int in [0, p) itself, over F_{p^k}, k > 1, the coefficient tuple
+(constant term first).  `coeffs` is that tuple for every k.  Everything is
+immutable, so values can be shared freely.  The canonical ordering used
+everywhere downstream is the lexicographic order on coefficient tuples.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ class FieldCtx:
         self.q = p**k
         self._key = (p, self.modulus)
         # elements are immutable, so one zero and one one serve every caller
-        self.zero = FieldElement(self, (0,) * k)
-        self.one = FieldElement(self, (1,) + (0,) * (k - 1))
+        self.zero = self._from_coeffs((0,) * k)
+        self.one = self._from_coeffs((1,) + (0,) * (k - 1))
         self.frobenius = None
         if k > 1:
             xp = FieldElement(self, (0, 1) + (0,) * (k - 2)) ** p
             powers = [self.one]  # x^(i*p) for i = 0..k-1
             for _ in range(k - 1):
                 powers.append(powers[-1] * xp)
-            self.frobenius = tuple(zip(*(x.coeffs for x in powers)))
+            self.frobenius = tuple(zip(*(x._v for x in powers)))
         self._sylow = {}
 
     def __eq__(self, other):
@@ -112,6 +113,10 @@ class FieldCtx:
 
     # -- element construction -------------------------------------------
 
+    def _from_coeffs(self, coeffs: tuple) -> "FieldElement":
+        """The element with these reduced coefficients, k of them."""
+        return FieldElement(self, coeffs[0] if self.k == 1 else coeffs)
+
     def el(self, value) -> "FieldElement":
         """Coerce an int or coefficient sequence into a field element."""
         if isinstance(value, FieldElement):
@@ -119,19 +124,20 @@ class FieldCtx:
                 raise ContextMismatch(f"element of {value.ctx} used in {self}")
             return value
         if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-            return FieldElement(self, coeffs)
+            if self.k == 1:
+                return FieldElement(self, value % self.p)
+            return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
         coeffs = list(value)
         if len(coeffs) > self.k:
             raise ValueError(f"coefficient vector longer than degree {self.k}")
         coeffs += [0] * (self.k - len(coeffs))
-        return FieldElement(self, tuple(c % self.p for c in coeffs))
+        return self._from_coeffs(tuple(c % self.p for c in coeffs))
 
     def elements(self) -> Iterator["FieldElement"]:
         """All field elements in canonical (coefficient-lex) order."""
         def rec(prefix):
             if len(prefix) == self.k:
-                yield FieldElement(self, tuple(prefix))
+                yield self._from_coeffs(tuple(prefix))
                 return
             for c in range(self.p):
                 yield from rec(prefix + [c])
@@ -144,7 +150,7 @@ class FieldCtx:
                 yield x
 
     def random_element(self, rng) -> "FieldElement":
-        return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return self._from_coeffs(tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Embed an element of the prime subfield F_p into this field."""
@@ -152,17 +158,27 @@ class FieldCtx:
             return elem
         if elem.ctx.k != 1 or elem.ctx.p != self.p:
             raise ContextMismatch("only prime-subfield embeddings are supported")
-        return self.el(elem.coeffs[0])
+        return self.el(elem._v)
 
 
 class FieldElement:
-    """A single element of a FieldCtx; supports the usual operators."""
+    """A single element of a FieldCtx; supports the usual operators.
 
-    __slots__ = ("ctx", "coeffs")
+    `_v` is the value: the int in [0, p) over a prime field, so a k = 1
+    operation builds no tuple, and the coefficient tuple for k > 1.  Only
+    this module and poly.py (which unwraps F_p coefficients) read it.
+    """
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple):
+    __slots__ = ("ctx", "_v")
+
+    def __init__(self, ctx: FieldCtx, v):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self._v = v
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient vector, constant term first, for every k."""
+        return (self._v,) if self.ctx.k == 1 else self._v
 
     # -- helpers ---------------------------------------------------------
 
@@ -177,13 +193,13 @@ class FieldElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self._v if self.ctx.k == 1 else not any(self._v)
 
     def to_int(self) -> int:
         """Value as an int; only valid over a prime field."""
         if self.ctx.k != 1:
             raise ValueError("to_int is only defined over prime fields")
-        return self.coeffs[0]
+        return self._v
 
     # -- arithmetic ------------------------------------------------------
     #
@@ -197,71 +213,67 @@ class FieldElement:
 
     def __add__(self, other):
         ctx = self.ctx
-        if isinstance(other, FieldElement) and other.ctx is ctx:
-            if ctx.k == 1:
-                return FieldElement(ctx, ((self.coeffs[0] + other.coeffs[0]) % ctx.p,))
-        elif ctx.k == 1 and isinstance(other, int):
-            return FieldElement(ctx, ((self.coeffs[0] + other) % ctx.p,))
-        elif isinstance(other, int):
-            return FieldElement(ctx, ((self.coeffs[0] + other) % ctx.p,) + self.coeffs[1:])
-        else:
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            if isinstance(other, int):
+                if ctx.k == 1:
+                    return FieldElement(ctx, (self._v + other) % ctx.p)
+                return FieldElement(ctx, ((self._v[0] + other) % ctx.p,) + self._v[1:])
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
+        if ctx.k == 1:
+            return FieldElement(ctx, (self._v + other._v) % ctx.p)
         p = ctx.p
-        return FieldElement(
-            ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(ctx, tuple((a + b) % p for a, b in zip(self._v, other._v)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         ctx = self.ctx
-        if isinstance(other, FieldElement) and other.ctx is ctx:
-            if ctx.k == 1:
-                return FieldElement(ctx, ((self.coeffs[0] - other.coeffs[0]) % ctx.p,))
-        elif ctx.k == 1 and isinstance(other, int):
-            return FieldElement(ctx, ((self.coeffs[0] - other) % ctx.p,))
-        elif isinstance(other, int):
-            return FieldElement(ctx, ((self.coeffs[0] - other) % ctx.p,) + self.coeffs[1:])
-        else:
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            if isinstance(other, int):
+                if ctx.k == 1:
+                    return FieldElement(ctx, (self._v - other) % ctx.p)
+                return FieldElement(ctx, ((self._v[0] - other) % ctx.p,) + self._v[1:])
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
+        if ctx.k == 1:
+            return FieldElement(ctx, (self._v - other._v) % ctx.p)
         p = ctx.p
-        return FieldElement(
-            ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(ctx, tuple((a - b) % p for a, b in zip(self._v, other._v)))
 
     def __rsub__(self, other):
         ctx = self.ctx
         if ctx.k == 1 and isinstance(other, int):
-            return FieldElement(ctx, ((other - self.coeffs[0]) % ctx.p,))
+            return FieldElement(ctx, (other - self._v) % ctx.p)
         if isinstance(other, int):
             p = ctx.p
-            return FieldElement(ctx, ((other - self.coeffs[0]) % p,)
-                                + tuple(-a % p for a in self.coeffs[1:]))
+            return FieldElement(ctx, ((other - self._v[0]) % p,)
+                                + tuple(-a % p for a in self._v[1:]))
         return ctx.el(other) - self
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        p = ctx.p
+        if ctx.k == 1:
+            return FieldElement(ctx, -self._v % p)
+        return FieldElement(ctx, tuple(-a % p for a in self._v))
 
     def __mul__(self, other):
         ctx = self.ctx
-        if isinstance(other, FieldElement) and other.ctx is ctx:
-            if ctx.k == 1:
-                return FieldElement(ctx, (self.coeffs[0] * other.coeffs[0] % ctx.p,))
-        elif ctx.k == 1 and isinstance(other, int):
-            return FieldElement(ctx, (self.coeffs[0] * other % ctx.p,))
-        elif isinstance(other, int):
-            p = ctx.p
-            return FieldElement(ctx, tuple(a * other % p for a in self.coeffs))
-        else:
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            if isinstance(other, int):
+                p = ctx.p
+                if ctx.k == 1:
+                    return FieldElement(ctx, self._v * other % p)
+                return FieldElement(ctx, tuple(a * other % p for a in self._v))
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
-        return FieldElement(ctx, _mul_raw(self.coeffs, other.coeffs, ctx.p, ctx.modulus))
+        if ctx.k == 1:
+            return FieldElement(ctx, self._v * other._v % ctx.p)
+        return FieldElement(ctx, _mul_raw(self._v, other._v, ctx.p, ctx.modulus))
 
     __rmul__ = __mul__
 
@@ -269,17 +281,17 @@ class FieldElement:
         ctx = self.ctx
         p, k = ctx.p, ctx.k
         if k == 1:
-            return FieldElement(ctx, (_inverse_mod(self.coeffs[0], p),))
+            return FieldElement(ctx, _inverse_mod(self._v, p))
         # Itoh-Tsujii: with r = (q - 1)/(p - 1), a^(r-1) is the product of
         # the conjugates a^(p^i), i = 1..k-1, and the norm N(a) = a^r lies
         # in F_p, so a^-1 = a^(r-1) / N(a) needs one inversion in F_p; only
         # a = 0 has norm 0
         modulus, frobenius = ctx.modulus, ctx.frobenius
-        conj = rest = _frobenius(self.coeffs, p, frobenius)
+        conj = rest = _frobenius(self._v, p, frobenius)
         for _ in range(k - 2):
             conj = _frobenius(conj, p, frobenius)
             rest = _mul_raw(rest, conj, p, modulus)
-        norm = _mul_raw(self.coeffs, rest, p, modulus)
+        norm = _mul_raw(self._v, rest, p, modulus)
         if any(norm[1:]):
             raise InvariantError(f"norm of {self!r} is not in the prime field")
         n_inv = _inverse_mod(norm[0], p)
@@ -287,34 +299,31 @@ class FieldElement:
 
     def __truediv__(self, other):
         ctx = self.ctx
-        if isinstance(other, FieldElement) and other.ctx is ctx:
-            if ctx.k == 1:
-                inv = _inverse_mod(other.coeffs[0], ctx.p)
-                return FieldElement(ctx, (self.coeffs[0] * inv % ctx.p,))
-        elif ctx.k == 1 and isinstance(other, int):
-            inv = _inverse_mod(other, ctx.p)
-            return FieldElement(ctx, (self.coeffs[0] * inv % ctx.p,))
-        else:
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            if ctx.k == 1 and isinstance(other, int):
+                return FieldElement(ctx, self._v * _inverse_mod(other, ctx.p) % ctx.p)
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
+        if ctx.k == 1:
+            return FieldElement(ctx, self._v * _inverse_mod(other._v, ctx.p) % ctx.p)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
         ctx = self.ctx
         if ctx.k == 1 and isinstance(other, int):
-            return FieldElement(ctx, (other * _inverse_mod(self.coeffs[0], ctx.p) % ctx.p,))
+            return FieldElement(ctx, other * _inverse_mod(self._v, ctx.p) % ctx.p)
         return ctx.el(other) / self
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self.ctx.k == 1:
-            return FieldElement(self.ctx, (pow(self.coeffs[0], exponent, self.ctx.p),))
-        # square-and-multiply on raw tuples, with one element at the end
         ctx = self.ctx
+        if ctx.k == 1:
+            return FieldElement(ctx, pow(self._v, exponent, ctx.p))
+        # square-and-multiply on raw tuples, with one element at the end
         p, modulus = ctx.p, ctx.modulus
-        result, base = ctx.one.coeffs, self.coeffs
+        result, base = ctx.one._v, self._v
         e = exponent
         while e:
             if e & 1:
@@ -329,11 +338,11 @@ class FieldElement:
     def __eq__(self, other):
         ctx = self.ctx
         if isinstance(other, FieldElement):
-            return self.coeffs == other.coeffs and (other.ctx is ctx or other.ctx == ctx)
+            return self._v == other._v and (other.ctx is ctx or other.ctx == ctx)
         if isinstance(other, int):
             if ctx.k == 1:
-                return self.coeffs[0] == other % ctx.p
-            return self.coeffs == ctx.el(other).coeffs
+                return self._v == other % ctx.p
+            return self._v == ctx.el(other)._v
         return NotImplemented
 
     def __hash__(self):
@@ -341,8 +350,8 @@ class FieldElement:
 
     def __repr__(self):
         if self.ctx.k == 1:
-            return f"{self.coeffs[0]}"
-        return f"{list(self.coeffs)}"
+            return f"{self._v}"
+        return f"{list(self._v)}"
 
 
 def _mul_raw(x: tuple, y: tuple, p: int, modulus: tuple) -> tuple:
@@ -508,14 +517,17 @@ def nth_roots(rho: FieldElement, n: int) -> list:
         raise ValueError("root degree must be positive")
     if rho.is_zero():
         raise NoRootError("zero radicand (degenerate instance)")
-    roots = {rho}
-    for r, e in sorted(factorint(n).items()):
-        for _ in range(e):
-            roots = {x for a in roots for x in _prime_roots(a, r)}
-            if not roots:
-                return []
+    if isprime(n):  # the radical step's n = 5: no factorisation
+        roots = _prime_roots(rho, n)
+    else:
+        roots = {rho}
+        for r, e in sorted(factorint(n).items()):
+            for _ in range(e):
+                roots = {x for a in roots for x in _prime_roots(a, r)}
+                if not roots:
+                    return []
     expected = math.gcd(n, rho.ctx.q - 1)
-    out = sorted(roots, key=lambda e: e.coeffs)
+    out = sorted(roots, key=lambda e: e._v)
     if len(out) not in (0, expected):
         raise InvariantError("root count does not match gcd(n, q-1)")
     return out

@@ -15,10 +15,11 @@ algorithms compute on raw coefficients, chosen once per call from ctx.k:
 over F_p plain ints in [0, p), where sums of products stay unreduced and
 each coefficient is reduced mod p once, where it is read as a pivot or
 written out; over F_{p^k} with k > 1 the FieldElements themselves, whose
-operators reduce as they go.  Coefficients are unwrapped on entry and
-rebuilt through ctx.el on exit.  curve.py and isogeny.py chain the
-underscored algorithms the same way, on the raw lists of `_coeffs(ctx)`,
-and wrap only their results.
+operators reduce as they go.  Coefficients are unwrapped on entry (an F_p
+element's int is read straight off its value slot) and rebuilt through
+ctx.el on exit.  curve.py and isogeny.py chain the underscored algorithms
+the same way, on the raw lists of `_coeffs(ctx)`, and wrap only their
+results.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class _Ints:
         self.reduce = ctx.p.__rmod__  # c -> c % p
 
     def unwrap(self, f) -> list:
-        return [c.coeffs[0] for c in f]
+        return [c._v for c in f]
 
     def wrap(self, f) -> list:
         el = self.ctx.el

@@ -17,8 +17,8 @@ from . import poly
 from .curve import (
     Point,
     degree5_curve,
+    degree5_discriminant,
     normal_form_b,
-    normal_form_discriminant,
     to_tate_normal,
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
@@ -63,7 +63,7 @@ class ChainResult:
 def _check_params(b: FieldElement):
     if b.is_zero():
         raise DegenerateParams("b = 0 gives a singular curve")
-    if normal_form_discriminant(b, b).is_zero():
+    if degree5_discriminant(b).is_zero():
         raise DegenerateParams("discriminant vanishes for this b")
 
 
@@ -114,7 +114,7 @@ def step_from_root(b: FieldElement, alpha: FieldElement, root_index: int = 0) ->
     if den.is_zero():
         raise DegenerateStep("pole of the step expression", alpha=alpha)
     b_next = alpha * num / den
-    if normal_form_discriminant(b_next, b_next).is_zero():
+    if degree5_discriminant(b_next).is_zero():
         raise DegenerateStep("successor parameter is degenerate", alpha=alpha)
     return RadicalStep(b, alpha, b_next, root_index)
 

@@ -25,9 +25,9 @@ from .curve import (
     Point,
     TateParams,
     degree5_curve,
+    degree5_discriminant,
     enumerate_points,
     has_order,
-    normal_form_discriminant,
     points_of_order,
     torsion_basis,
 )
@@ -122,7 +122,7 @@ def _random_valid_b(ctx: FieldCtx, rng: random.Random, fifth_power: bool = False
             b = b**5
             if b.is_zero():
                 continue
-        if not normal_form_discriminant(b, b).is_zero():
+        if not degree5_discriminant(b).is_zero():
             return b
     raise RadicantError("no valid parameter found")
 
@@ -152,7 +152,7 @@ def torsion_instances(primes: Iterable[int], full_basis: bool = False):
         F = make_field(p)
         for bi in range(1, p):
             b = F.el(bi)
-            if normal_form_discriminant(b, b).is_zero():
+            if degree5_discriminant(b).is_zero():
                 continue
             E = degree5_curve(b)
             above = points_above(E, Point(F.zero, F.zero))
@@ -683,7 +683,7 @@ def gamma0_equivalence_exhaustive(p: int) -> Report:
         valid = [
             F.el(v)
             for v in range(1, p)
-            if not normal_form_discriminant(F.el(v), F.el(v)).is_zero()
+            if not degree5_discriminant(F.el(v)).is_zero()
         ]
         for b1 in valid:
             for b2 in valid:

@@ -15,6 +15,7 @@ from radicant.curve import (
     curve_from_params,
     base_change,
     degree5_curve,
+    degree5_discriminant,
     degree5_j_invariant,
     division_polynomial,
     enum_bound,
@@ -378,6 +379,21 @@ class TestNormalForm:
                 assert WeierstrassCurve(1 - c, -b, -b, F.zero, F.zero).discriminant() == delta
         if draws is None:
             assert vanishing > 0  # the exhaustive F_13 sweep meets singular (b, c)
+
+    @pytest.mark.parametrize("p,k,draws", [(11, 1, None), (31, 1, None), (7, 2, None),
+                                           (2**61 - 1, 1, 200)])
+    def test_degree5_discriminant_matches_general_form(self, p, k, draws):
+        # the factored Delta(b) against the two-variable form at c = b
+        F = make_field(p, k)
+        if draws is None:
+            bs = list(F.elements())
+        else:
+            rng = random.Random(p)
+            bs = [F.el(rng.randrange(p)) for _ in range(draws)]
+        for b in bs:
+            assert degree5_discriminant(b) == normal_form_discriminant(b, b), b
+        if draws is None:  # b = 0 and the roots of b^2 - 11b - 1 where rational
+            assert sum(degree5_discriminant(b).is_zero() for b in bs) in (1, 3)
 
     @pytest.mark.parametrize("p,k", [(13, 1), (31, 1), (7, 2), (11, 2)])
     def test_closed_form_b_matches_to_tate_normal(self, p, k):

@@ -1,3 +1,4 @@
+import gc
 import math
 import operator
 import random
@@ -18,6 +19,7 @@ from radicant.field import (
     multiplicative_order,
     nth_roots,
 )
+from radicant.radical import radical_chain
 
 
 def brute_roots(ctx, rho, n):
@@ -283,6 +285,30 @@ class TestExtensionRawArithmetic:
             assert x ** (a + b) == x**a * x**b
 
 
+class TestRepresentation:
+    def test_prime_field_element_holds_no_tuple(self):
+        # a k = 1 element keeps its int: no 1-tuple per value
+        F = make_field(13)
+        for x in (F.el(5), F.zero, F.one, F.el(3) * F.el(7), F.el(2) ** 5, -F.el(4)):
+            assert not any(isinstance(r, tuple) for r in gc.get_referents(x)), x
+
+    @pytest.mark.parametrize("p,k", [(13, 1), (2**61 - 1, 1), (7, 2), (5, 3)])
+    def test_coeffs_and_hash(self, p, k):
+        F = make_field(p, k)
+        rng = random.Random(p * k)
+        for x in [F.zero, F.one] + [F.random_element(rng) for _ in range(20)]:
+            assert type(x.coeffs) is tuple and len(x.coeffs) == k
+            assert all(type(c) is int and 0 <= c < p for c in x.coeffs)
+            assert F.el(x.coeffs) == x
+            assert hash(x) == hash((x.ctx._key, x.coeffs))
+            assert hash(x * x) == hash((F._key, (x * x).coeffs))
+
+    def test_coeffs_are_read_only(self):
+        x = make_field(13).el(5)
+        with pytest.raises(AttributeError):
+            x.coeffs = (6,)
+
+
 class TestNthRoots:
     def test_fifth_roots_of_10_in_f11(self, F11):
         got = nth_roots(F11.el(10), 5)
@@ -377,6 +403,25 @@ class TestNthRoots:
             for rho in units:
                 assert nth_roots(rho, n) == preimages.get(rho, []), (pk, n, rho)
             assert len(preimages) == (F.q - 1) // math.gcd(n, F.q - 1)
+
+    @pytest.mark.parametrize("p,k,b", [(13, 1, 4), (1013, 2, (5, 7)), (11, 1, 10),
+                                       (2**61 - 1, 1, 2)])
+    def test_prime_degree_needs_no_factorisation(self, monkeypatch, p, k, b):
+        # n = 5 goes straight to the prime-degree routine, as does every
+        # radical step; a composite n still factors
+        def refuse(n):
+            raise AssertionError(f"factorint({n}) called")
+
+        monkeypatch.setattr(field, "factorint", refuse)
+        F = make_field(p, k)
+        b = F.el(b)
+        roots = nth_roots(b, 5)
+        assert roots and all(r**5 == b for r in roots)
+        assert roots == sorted(roots, key=lambda e: e.coeffs)
+        if (F.q - 1) % 5:
+            assert len(radical_chain(b, 20, "unique").b_values) == 21
+        with pytest.raises(AssertionError):
+            nth_roots(b, 4)
 
     def test_sylow_data_built_once_per_context_and_prime(self, monkeypatch):
         built = []

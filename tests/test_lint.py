@@ -317,18 +317,35 @@ def test_global_state_is_allowlisted():
         f"allowlisted names that hold none: {sorted(GLOBAL_STATE - found)}")
 
 
+def _program_files():
+    """The package's modules, the scripts and the tests."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    return SOURCES + sorted((root / "scripts").glob("*.py")) + sorted(
+        pathlib.Path(__file__).parent.glob("*.py"))
+
+
 def test_only_field_builds_elements():
     # elements enter only through ctx.el and the other FieldCtx methods, so
     # poly.py's raw coefficients (plain ints over F_p) are rebuilt at its
     # boundary and nothing else constructs an element by hand
-    root = pathlib.Path(__file__).resolve().parent.parent
-    paths = SOURCES + sorted((root / "scripts").glob("*.py")) + sorted(
-        pathlib.Path(__file__).parent.glob("*.py"))
     calls = [
         f"{path.name}:{node.lineno}"
-        for path in paths
+        for path in _program_files()
         if path.name != "field.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call) and _callee(node) == "FieldElement"
     ]
     assert SOURCES and not calls, f"FieldElement built outside field.py: {calls}"
+
+
+def test_only_field_and_poly_read_the_element_value():
+    # an element's `_v` is an int over F_p and a tuple over F_{p^k}; the
+    # rest of the package, the scripts and the tests read `coeffs`
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in _program_files()
+        if path.name not in ("field.py", "poly.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_v"
+    ]
+    assert SOURCES and not reads, f"element value slot read outside field.py and poly.py: {reads}"

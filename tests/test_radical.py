@@ -11,6 +11,7 @@ from radicant import curve, field, pairing, poly, radical
 from radicant.curve import (
     Point,
     degree5_curve,
+    degree5_discriminant,
     normal_form_discriminant,
     point_order,
 )
@@ -186,13 +187,18 @@ class TestNoRedundantChecks:
     def discriminant_calls(self, monkeypatch):
         calls = []
 
-        def counted(b, c):
-            calls.append(b)
-            return normal_form_discriminant(b, c)
+        def counting(helper):
+            def counted(b, *c):
+                calls.append(b)
+                return helper(b, *c)
+            return counted
 
-        # curve's own name too, which TateParams uses
-        monkeypatch.setattr(radical, "normal_form_discriminant", counted)
-        monkeypatch.setattr(curve, "normal_form_discriminant", counted)
+        # the step's helper, and curve's own names too, which TateParams and
+        # degree5_j_invariant use
+        monkeypatch.setattr(radical, "degree5_discriminant", counting(degree5_discriminant))
+        monkeypatch.setattr(curve, "degree5_discriminant", counting(degree5_discriminant))
+        monkeypatch.setattr(curve, "normal_form_discriminant",
+                            counting(normal_form_discriminant))
         return calls
 
     @pytest.mark.parametrize("p,k,b0", [(13, 1, 4), (1013, 2, (5, 7))])
