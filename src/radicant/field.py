@@ -30,7 +30,8 @@ class FieldCtx:
 
     For k > 1, `frobenius` is the matrix of a -> a^p on coefficient
     vectors, stored by columns: column j holds coefficient j of x^(i*p)
-    mod the modulus, for i = 0..k-1.  It is None for k = 1.
+    mod the modulus, for i = 0..k-1.  It is None for k = 1.  For k = 2 it
+    is written down: x^p is the other root of the modulus, -m1 - x.
 
     `sylow(r)` holds the r-Sylow data that `_prime_roots` needs for a prime
     r dividing q - 1.  It depends only on (q, r), so it is built the first
@@ -50,7 +51,9 @@ class FieldCtx:
         self.zero = self._from_coeffs((0,) * k)
         self.one = self._from_coeffs((1,) + (0,) * (k - 1))
         self.frobenius = None
-        if k > 1:
+        if k == 2:
+            self.frobenius = ((1, -self.modulus[1] % p), (0, p - 1))
+        elif k > 2:
             xp = FieldElement(self, (0, 1) + (0,) * (k - 2)) ** p
             powers = [self.one]  # x^(i*p) for i = 0..k-1
             for _ in range(k - 1):
@@ -282,10 +285,15 @@ class FieldElement:
         p, k = ctx.p, ctx.k
         if k == 1:
             return FieldElement(ctx, _inverse_mod(self._v, p))
-        # Itoh-Tsujii: with r = (q - 1)/(p - 1), a^(r-1) is the product of
-        # the conjugates a^(p^i), i = 1..k-1, and the norm N(a) = a^r lies
-        # in F_p, so a^-1 = a^(r-1) / N(a) needs one inversion in F_p; only
-        # a = 0 has norm 0
+        if k == 2:
+            # a^-1 = conj(a) / N(a); only a = 0 has norm 0
+            c0, c1, norm = _conjugate_and_norm(self._v, p, ctx.modulus)
+            n_inv = _inverse_mod(norm, p)
+            return FieldElement(ctx, (c0 * n_inv % p, c1 * n_inv % p))
+        # k >= 3, Itoh-Tsujii: with r = (q - 1)/(p - 1), a^(r-1) is the
+        # product of the conjugates a^(p^i), i = 1..k-1, and the norm
+        # N(a) = a^r lies in F_p, so a^-1 = a^(r-1) / N(a) needs one
+        # inversion in F_p; only a = 0 has norm 0
         modulus, frobenius = ctx.modulus, ctx.frobenius
         conj = rest = _frobenius(self._v, p, frobenius)
         for _ in range(k - 2):
@@ -321,7 +329,10 @@ class FieldElement:
         ctx = self.ctx
         if ctx.k == 1:
             return FieldElement(ctx, pow(self._v, exponent, ctx.p))
-        # square-and-multiply on raw tuples, with one element at the end
+        if ctx.k == 2 and any(self._v):
+            return FieldElement(ctx, _pow_k2(self._v, exponent % (ctx.q - 1), ctx.p, ctx.modulus))
+        # k >= 3 and the zero base: square-and-multiply on raw tuples, with
+        # one element at the end
         p, modulus = ctx.p, ctx.modulus
         result, base = ctx.one._v, self._v
         e = exponent
@@ -385,6 +396,44 @@ def _mul_schoolbook(x: tuple, y: tuple, p: int, modulus: tuple) -> tuple:
                 prod[d - k + j] -= c * modulus[j]
         prod[d] = 0
     return tuple(c % p for c in prod[:k])
+
+
+def _conjugate_and_norm(x: tuple, p: int, modulus: tuple) -> tuple:
+    """(c0, c1, N) for x = (a0, a1) over F_p[t]/(t^2 + m1 t + m0): the
+    conjugate x^p = c0 + c1 t, which swaps t with the other root -m1 - t,
+    and the norm N = x * x^p = a0^2 - m1 a0 a1 + m0 a1^2 in F_p."""
+    a0, a1 = x
+    m0, m1 = modulus[0], modulus[1]
+    return (a0 - m1 * a1) % p, -a1 % p, (a0 * a0 - m1 * a0 * a1 + m0 * a1 * a1) % p
+
+
+def _pow_k2(x: tuple, e: int, p: int, modulus: tuple) -> tuple:
+    """x^e for a nonzero x of F_{p^2} and 0 <= e < p^2 - 1.
+
+    With e = e0 + e1 p, x^e = x^e0 * conj(x)^e1: one left-to-right
+    square-and-multiply over the bits of e0 and e1 together, multiplying
+    by x, by conj(x) or, where both bits are set, by the scalar N(x).  That
+    is log2(p) squarings rather than log2(p^2).
+    """
+    a0, a1 = x
+    m0, m1 = modulus[0], modulus[1]
+    e1, e0 = divmod(e, p)
+    if e1:  # conj(x) and N(x) serve only the bits of e1
+        b0, b1, norm = _conjugate_and_norm(x, p, modulus)
+    r0, r1 = 1, 0
+    for i in range(max(e0.bit_length(), e1.bit_length()) - 1, -1, -1):
+        c2 = r1 * r1
+        r0, r1 = (r0 * r0 - c2 * m0) % p, (2 * r0 * r1 - c2 * m1) % p
+        if e0 >> i & 1:
+            if e1 >> i & 1:
+                r0, r1 = r0 * norm % p, r1 * norm % p
+            else:
+                c2 = r1 * a1
+                r0, r1 = (r0 * a0 - c2 * m0) % p, (r0 * a1 + r1 * a0 - c2 * m1) % p
+        elif e1 >> i & 1:
+            c2 = r1 * b1
+            r0, r1 = (r0 * b0 - c2 * m0) % p, (r0 * b1 + r1 * b0 - c2 * m1) % p
+    return r0, r1
 
 
 def _frobenius(x: tuple, p: int, frobenius: tuple) -> tuple:

@@ -219,7 +219,13 @@ def velu_reference_step(b: FieldElement) -> list:
     j(E_b/<(0, 0)>) is 0 or 1728 (p = 19, b = 4: S_b has the roots 4 and 18
     twice; this list is [4]).
     `successor_polynomial` has all five."""
-    dual, (num, den) = _velu_reference(b)
+    return _rational_successors(*_velu_reference(b))
+
+
+def _rational_successors(dual, b_map: tuple) -> list:
+    """b'(x) = num(x) / den(x), from `_velu_reference`, at the rational
+    distinguished points of that dual, sorted."""
+    num, den = b_map
     return sorted({poly.value_and_derivative(num, P.x)[0] / poly.value_and_derivative(den, P.x)[0]
                    for P in distinguished_points(dual)}, key=lambda e: e.coeffs)
 

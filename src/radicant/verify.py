@@ -60,6 +60,8 @@ from .moduli import (
 )
 from .pairing import miller, radicand, tate_reduced, weil
 from .radical import (
+    _rational_successors,
+    _velu_reference,
     radical_chain,
     radical_poly_irreducible,
     radical_poly_irreducible_oracle,
@@ -430,13 +432,14 @@ def radical_velu_agreement(rng: random.Random, seed: int) -> Report:
     def batch():
         ok = 0
         for _ in range(instances):
-            F, b = _random_instance(rng, PRIMES_1_MOD_5, fifth_power=True)
+            _, b = _random_instance(rng, PRIMES_1_MOD_5, fifth_power=True)
             roots = nth_roots(b, 5)
             if len(roots) != 5:
                 continue
-            reference = {e.coeffs for e in velu_reference_step(b)}
-            phi = velu(degree5_curve(b), Point(F.zero, F.zero))
-            dual = dual_isogeny(phi)
+            # one dual serves the reference successors and is_distinguished
+            dual, b_map = _velu_reference(b)
+            reference = {e.coeffs for e in _rational_successors(dual, b_map)}
+            phi = dual.forward
             for i, alpha in enumerate(roots):
                 if step_from_root(b, alpha, i).b_next.coeffs not in reference:
                     break

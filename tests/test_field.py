@@ -30,6 +30,17 @@ def brute_roots(ctx, rho, n):
     )
 
 
+PINNED_MODULI = [
+    ((5, 2), (1, 1, 1)), ((5, 3), (1, 0, 1, 1)), ((5, 4), (1, 0, 1, 1, 1)),
+    ((7, 2), (1, 0, 1)), ((7, 3), (1, 0, 1, 1)), ((7, 4), (1, 0, 0, 1, 1)),
+    ((11, 2), (1, 0, 1)),
+    ((13, 2), (1, 3, 1)), ((13, 3), (1, 0, 4, 1)), ((13, 4), (1, 0, 0, 1, 1)),
+    ((17, 4), (1, 0, 0, 3, 1)), ((31, 4), (1, 0, 0, 1, 1)),
+    ((101, 2), (1, 1, 1)), ((101, 3), (1, 0, 1, 1)),
+    ((1013, 2), (1, 1, 1)), ((10007, 2), (1, 0, 1)),
+]
+
+
 class TestMakeField:
     def test_prime_field(self):
         F = make_field(11, 1)
@@ -50,15 +61,7 @@ class TestMakeField:
                 break
         assert F.modulus == best == (1, 1, 1)
 
-    @pytest.mark.parametrize("pk,modulus", [
-        ((5, 2), (1, 1, 1)), ((5, 3), (1, 0, 1, 1)), ((5, 4), (1, 0, 1, 1, 1)),
-        ((7, 2), (1, 0, 1)), ((7, 3), (1, 0, 1, 1)), ((7, 4), (1, 0, 0, 1, 1)),
-        ((11, 2), (1, 0, 1)),
-        ((13, 2), (1, 3, 1)), ((13, 3), (1, 0, 4, 1)), ((13, 4), (1, 0, 0, 1, 1)),
-        ((17, 4), (1, 0, 0, 3, 1)), ((31, 4), (1, 0, 0, 1, 1)),
-        ((101, 2), (1, 1, 1)), ((101, 3), (1, 0, 1, 1)),
-        ((1013, 2), (1, 1, 1)), ((10007, 2), (1, 0, 1)),
-    ])
+    @pytest.mark.parametrize("pk,modulus", PINNED_MODULI)
     def test_pinned_defining_polynomials(self, pk, modulus):
         # the defining polynomial fixes the canonical element order downstream
         assert make_field(*pk).modulus == modulus
@@ -283,6 +286,75 @@ class TestExtensionRawArithmetic:
                 power = power * x
             a, b = rng.randrange(F.q**2), rng.randrange(F.q**2)
             assert x ** (a + b) == x**a * x**b
+
+
+def oracle_pow(x, e, F):
+    """x^e by square-and-multiply over every bit of e on `_mul_schoolbook`,
+    with no reduction of e; e < 0 inverts first, as x^(q-2)."""
+    if e < 0:
+        return oracle_pow(oracle_pow(x, F.q - 2, F), -e, F)
+    result, base = (1,) + (0,) * (F.k - 1), x
+    while e:
+        if e & 1:
+            result = _mul_schoolbook(result, base, F.p, F.modulus)
+        base = _mul_schoolbook(base, base, F.p, F.modulus)
+        e >>= 1
+    return result
+
+
+class TestQuadraticPowerAndInverse:
+    # the k = 2 power runs over the base-p digits of the exponent and
+    # inverts through the norm; the oracle is square-and-multiply over all
+    # log2(e) bits on the schoolbook product that serves k >= 3
+    PRIMES = [5, 7, 1013, 10007, 2147483659]
+
+    @staticmethod
+    def exponents(F, rng):
+        p, q = F.p, F.q
+        fixed = [0, 1, 2, p - 1, p, p + 1, q - 2, q - 1, q, 3 * q + 1]
+        drawn = [rng.randrange(q) for _ in range(4)] + [rng.randrange(q**2) for _ in range(2)]
+        return fixed + drawn + [-e for e in (1, 2, p, q - 2, q, rng.randrange(1, q))]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_power_matches_oracle(self, p):
+        F = make_field(p, 2)
+        rng = random.Random(p)
+        xs = [F.one, F.el(-1), F.el((0, 1)), F.el((p - 1, p - 1))]
+        xs += [F.random_element(rng) for _ in range(6)]
+        for x in xs:
+            if x.is_zero():
+                continue
+            for e in self.exponents(F, rng):
+                got = x**e
+                assert got.ctx is F and got.coeffs == oracle_pow(x.coeffs, e, F), (x, e)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_base(self, p):
+        F = make_field(p, 2)
+        assert F.zero**0 == F.one
+        for e in self.exponents(F, random.Random(p)):
+            if e > 0:
+                assert F.zero**e == F.zero
+        with pytest.raises(ZeroDivisionError):
+            F.zero ** -1
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_inverse_matches_oracle(self, p):
+        F = make_field(p, 2)
+        rng = random.Random(-p)
+        for _ in range(30):
+            x = F.random_element(rng)
+            if not x.is_zero():
+                assert x.inverse().coeffs == oracle_pow(x.coeffs, F.q - 2, F)
+        with pytest.raises(ZeroDivisionError):
+            F.zero.inverse()
+
+    @pytest.mark.parametrize("pk", [pk for pk, _ in PINNED_MODULI if pk[1] == 2])
+    def test_frobenius_matrix_matches_oracle(self, pk):
+        # columns: coefficient j of x^0 and of x^p
+        F = make_field(*pk)
+        xp = oracle_pow((0, 1), F.p, F)
+        assert F.frobenius == tuple(zip((1, 0), xp))
 
 
 class TestRepresentation:

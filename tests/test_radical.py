@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radicant import curve, field, pairing, poly, radical
+from radicant import curve, field, pairing, poly, radical, verify
 from radicant.curve import (
     Point,
     degree5_curve,
@@ -264,6 +264,37 @@ def _stepwise(b0, steps, policy):
     return values, None
 
 
+class TestGoldenQuadraticChains:
+    # values recorded before the F_{p^2} power and inverse were written out
+    # for k = 2; every b has a nonzero t-coefficient, so each fifth root is
+    # taken outside F_p
+    @pytest.mark.parametrize("p, b0, expected", [
+        (1013, (5, 1),
+         [[5, 1], [720, 794], [772, 447], [350, 699], [183, 418], [307, 142], [957, 371],
+          [309, 933], [663, 620], [640, 311], [462, 55], [602, 374], [650, 200], [147, 481],
+          [814, 163], [371, 686], [562, 84], [662, 535], [241, 193], [239, 292], [844, 354]]),
+        (10007, (4, 3),
+         [[4, 3], [9185, 5402], [2398, 6324], [6036, 1464], [457, 4975], [8245, 2168],
+          [7812, 7930], [8750, 4350], [9908, 6215], [3213, 6432], [7641, 9290], [3709, 8067],
+          [8549, 7272], [6820, 8266], [8744, 2595], [7644, 1206], [2290, 5852], [8574, 2944],
+          [5143, 8803], [8108, 2474], [3940, 2571]]),
+    ])
+    def test_unique_chain(self, p, b0, expected):
+        chain = radical_chain(make_field(p, 2).el(b0), 20, "unique")
+        assert [list(b.coeffs) for b in chain.b_values] == expected
+
+    def test_every_root_over_f59_squared(self):
+        # b = (3 + 2t)^5 = 52 + 4t, one step per root index
+        F = make_field(59, 2)
+        b = F.el((52, 4))
+        assert F.el((3, 2)) ** 5 == b
+        expected = [((3, 2), (19, 37)), ((14, 42), (16, 18)), ((26, 24), (49, 50)),
+                    ((29, 23), (2, 32)), ((46, 27), (29, 49))]
+        for i, (alpha, b_next) in enumerate(expected):
+            step = radical_step_5(b, f"index:{i}")
+            assert (step.alpha.coeffs, step.b_next.coeffs, step.root_index) == (alpha, b_next, i)
+
+
 class TestChainDifferential:
     def _check(self, b0, steps, policy):
         """Returns the values the chain reached."""
@@ -369,6 +400,26 @@ class TestReferenceOracle:
         assert curve.sample_count() == 0
         successors = {radical_step_5(b, f"index:{i}").b_next for i in range(5)}
         assert ref == sorted(successors, key=lambda e: e.coeffs)
+
+    def test_agreement_claim_builds_one_dual_per_instance(self, monkeypatch):
+        # the reference successors and is_distinguished share one dual
+        counts = {"duals": 0, "instances": 0}
+
+        def counted_dual(phi):
+            counts["duals"] += 1
+            return dual_isogeny(phi)
+
+        def counted_roots(b, n):
+            roots = nth_roots(b, n)
+            counts["instances"] += len(roots) == 5
+            return roots
+
+        for module in (radical, verify):
+            monkeypatch.setattr(module, "dual_isogeny", counted_dual)
+        monkeypatch.setattr(verify, "nth_roots", counted_roots)
+        report = verify.radical_velu_agreement(random.Random(3), 3)
+        assert report.passed and report.computed == 50
+        assert counts == {"duals": 50, "instances": 50}
 
     @pytest.mark.parametrize("p,v", [(11, 4), (31, 3), (11, 2), (11, 3), (31, 7)])
     def test_reference_over_extension_matches_radical_steps(self, p, v):
