@@ -29,7 +29,7 @@ from .errors import (
     SupportCollision,
     TorsionUnavailable,
 )
-from .field import FieldCtx, FieldElement, arith, make_field, nth_roots
+from .field import FieldCtx, FieldElement, make_field, nth_roots
 from .isogeny import (
     Isogeny,
     distinguished_points,

@@ -28,7 +28,7 @@ from .errors import (
     RadicantError,
     TorsionUnavailable,
 )
-from .field import FieldCtx, FieldElement, nth_roots
+from .field import FieldCtx, FieldElement, is_root, nth_roots
 from .miscutil import isprime, order_dividing
 
 DEFAULT_ENUM_BOUND = 2_000_000
@@ -462,10 +462,21 @@ def normal_form_discriminant(b: FieldElement, c: FieldElement) -> FieldElement:
     return b**3 * inner
 
 
+# b^2 - 11b - 1, constant first: Delta(b) = b^5 times this quadratic
+_DELTA_QUADRATIC = (-1, -11, 1)
+
+
 def degree5_discriminant(b: FieldElement) -> FieldElement:
     """Delta(b) = b^5 (b^2 - 11b - 1), the discriminant of `degree5_curve(b)`:
     `normal_form_discriminant(b, b)` in factored form."""
-    return b**5 * (b * (b - 11) - 1)
+    c0, c1, _ = _DELTA_QUADRATIC
+    return b**5 * (b * (b + c1) + c0)
+
+
+def degree5_degenerate(b: FieldElement) -> bool:
+    """Delta(b) = 0, read off its factors: b = 0 or b^2 - 11b - 1 = 0.  No
+    power is taken and no element is built."""
+    return b.is_zero() or is_root(b, _DELTA_QUADRATIC)
 
 
 @dataclass(frozen=True)

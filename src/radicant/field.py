@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from . import poly
 from .errors import ContextMismatch, InvariantError, NoRootError, RadicantError
-from .miscutil import factorint, isprime, order_dividing
+from .miscutil import factorint, isprime
 
 MAX_FIELD_BITS = 63  # q = p^k must stay in a machine-word range
 
@@ -286,10 +286,7 @@ class FieldElement:
         if k == 1:
             return FieldElement(ctx, _inverse_mod(self._v, p))
         if k == 2:
-            # a^-1 = conj(a) / N(a); only a = 0 has norm 0
-            c0, c1, norm = _conjugate_and_norm(self._v, p, ctx.modulus)
-            n_inv = _inverse_mod(norm, p)
-            return FieldElement(ctx, (c0 * n_inv % p, c1 * n_inv % p))
+            return FieldElement(ctx, _inverse_k2(self._v, p, ctx.modulus))
         # k >= 3, Itoh-Tsujii: with r = (q - 1)/(p - 1), a^(r-1) is the
         # product of the conjugates a^(p^i), i = 1..k-1, and the norm
         # N(a) = a^r lies in F_p, so a^-1 = a^(r-1) / N(a) needs one
@@ -418,10 +415,17 @@ def _pow_k2(x: tuple, e: int, p: int, modulus: tuple) -> tuple:
     a0, a1 = x
     m0, m1 = modulus[0], modulus[1]
     e1, e0 = divmod(e, p)
+    top = (e0 | e1).bit_length() - 1
+    if top < 0:
+        return 1, 0
     if e1:  # conj(x) and N(x) serve only the bits of e1
         b0, b1, norm = _conjugate_and_norm(x, p, modulus)
-    r0, r1 = 1, 0
-    for i in range(max(e0.bit_length(), e1.bit_length()) - 1, -1, -1):
+    # the top digit starts r, so 1 is neither squared nor multiplied
+    if e0 >> top & 1:
+        r0, r1 = (norm, 0) if e1 >> top & 1 else (a0, a1)
+    else:
+        r0, r1 = b0, b1
+    for i in range(top - 1, -1, -1):
         c2 = r1 * r1
         r0, r1 = (r0 * r0 - c2 * m0) % p, (2 * r0 * r1 - c2 * m1) % p
         if e0 >> i & 1:
@@ -433,6 +437,27 @@ def _pow_k2(x: tuple, e: int, p: int, modulus: tuple) -> tuple:
         elif e1 >> i & 1:
             c2 = r1 * b1
             r0, r1 = (r0 * b0 - c2 * m0) % p, (r0 * b1 + r1 * b0 - c2 * m1) % p
+    return r0, r1
+
+
+def _inverse_k2(x: tuple, p: int, modulus: tuple) -> tuple:
+    """x^-1 = conj(x) / N(x) over F_{p^2}; only x = 0 has norm 0, and it
+    raises ZeroDivisionError."""
+    c0, c1, norm = _conjugate_and_norm(x, p, modulus)
+    n_inv = _inverse_mod(norm, p)
+    return c0 * n_inv % p, c1 * n_inv % p
+
+
+def _horner_k2(x: tuple, coeffs: Sequence[int], p: int, modulus: tuple) -> tuple:
+    """coeffs(x) over F_{p^2} for integer coefficients, constant first: Horner
+    with the written-out product of `_mul_raw`, adding each coefficient
+    inside its reduction."""
+    a0, a1 = x
+    m0, m1 = modulus[0], modulus[1]
+    r0, r1 = coeffs[-1] % p, 0
+    for c in coeffs[-2::-1]:
+        c2 = r1 * a1
+        r0, r1 = (r0 * a0 - c2 * m0 + c) % p, (r0 * a1 + r1 * a0 - c2 * m1) % p
     return r0, r1
 
 
@@ -494,23 +519,37 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     return FieldCtx(p, k, _smallest_irreducible(p, k))
 
 
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Functional form of the four basic operations, exported; no library code calls it."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
+def rational_map_k2(x: FieldElement, num: Sequence[int], den: Sequence[int]):
+    """x * num(x) / den(x) for x in F_{p^2} and integer polynomials num and
+    den (constant first), or None where den(x) = 0.  It runs on coefficient
+    pairs and builds one element, the result."""
+    ctx = x.ctx
+    p, modulus = ctx.p, ctx.modulus
+    v = x._v
+    d = _horner_k2(v, den, p, modulus)
+    if not any(d):
+        return None
+    n = _mul_raw(v, _horner_k2(v, num, p, modulus), p, modulus)
+    return FieldElement(ctx, _mul_raw(n, _inverse_k2(d, p, modulus), p, modulus))
 
 
-def multiplicative_order(a: FieldElement) -> int:
-    if a.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    return order_dividing(a.ctx.q - 1, lambda m: a**m == a.ctx.one)
+def is_root(x: FieldElement, coeffs: Sequence[int]) -> bool:
+    """Does the integer polynomial with these coefficients (constant first)
+    vanish at x?  Horner runs on x's value and builds no element."""
+    ctx = x.ctx
+    p, v = ctx.p, x._v
+    if ctx.k == 1:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * v + c) % p
+        return not acc
+    if ctx.k == 2:
+        return not any(_horner_k2(v, coeffs, p, ctx.modulus))
+    acc = (0,) * ctx.k
+    for c in reversed(coeffs):
+        acc = _mul_raw(acc, v, p, ctx.modulus)
+        acc = ((acc[0] + c) % p,) + acc[1:]
+    return not any(acc)
 
 
 def _prime_roots(a: FieldElement, r: int) -> list:

@@ -17,12 +17,12 @@ from . import poly
 from .curve import (
     Point,
     degree5_curve,
-    degree5_discriminant,
+    degree5_degenerate,
     normal_form_b,
     to_tate_normal,
 )
 from .errors import DegenerateParams, DegenerateStep, NoRootError
-from .field import FieldCtx, FieldElement, nth_roots
+from .field import FieldCtx, FieldElement, nth_roots, rational_map_k2
 from .isogeny import _x_fibre, distinguished_points, dual_isogeny, velu
 from .miscutil import isprime
 
@@ -63,7 +63,7 @@ class ChainResult:
 def _check_params(b: FieldElement):
     if b.is_zero():
         raise DegenerateParams("b = 0 gives a singular curve")
-    if degree5_discriminant(b).is_zero():
+    if degree5_degenerate(b):
         raise DegenerateParams("discriminant vanishes for this b")
 
 
@@ -108,15 +108,32 @@ def _pick_root(roots: list, index) -> tuple:
 
 def step_from_root(b: FieldElement, alpha: FieldElement, root_index: int = 0) -> RadicalStep:
     """Evaluate the closed-form successor parameter at a chosen root."""
+    b_next = _successor(alpha)
+    if b_next is None:
+        raise DegenerateStep("pole of the step expression", alpha=alpha)
+    if degree5_degenerate(b_next):
+        raise DegenerateStep("successor parameter is degenerate", alpha=alpha)
+    return RadicalStep(b, alpha, b_next, root_index)
+
+
+def _successor(alpha: FieldElement):
+    """alpha num(alpha) / den(alpha), or None at a pole (den(alpha) = 0).
+    Over F_{p^2} it runs on coefficient pairs and builds only b'; every
+    other k takes the element expression of `_successor_elements`."""
+    if alpha.ctx.k == 2:
+        return rational_map_k2(alpha, _STEP_NUM, _STEP_DEN)
+    return _successor_elements(alpha)
+
+
+def _successor_elements(alpha: FieldElement):
+    """`_successor` by element arithmetic, for every k: the oracle the
+    k = 2 form is tested against."""
     c, d = _STEP_NUM, _STEP_DEN
     num = (((alpha + c[3]) * alpha + c[2]) * alpha + c[1]) * alpha + c[0]
     den = (((alpha + d[3]) * alpha + d[2]) * alpha + d[1]) * alpha + d[0]
     if den.is_zero():
-        raise DegenerateStep("pole of the step expression", alpha=alpha)
-    b_next = alpha * num / den
-    if degree5_discriminant(b_next).is_zero():
-        raise DegenerateStep("successor parameter is degenerate", alpha=alpha)
-    return RadicalStep(b, alpha, b_next, root_index)
+        return None
+    return alpha * num / den
 
 
 def radical_step_5(b: FieldElement, policy: str = "canonical") -> RadicalStep:

@@ -25,7 +25,7 @@ from .curve import (
     Point,
     TateParams,
     degree5_curve,
-    degree5_discriminant,
+    degree5_degenerate,
     enumerate_points,
     has_order,
     points_of_order,
@@ -124,7 +124,7 @@ def _random_valid_b(ctx: FieldCtx, rng: random.Random, fifth_power: bool = False
             b = b**5
             if b.is_zero():
                 continue
-        if not degree5_discriminant(b).is_zero():
+        if not degree5_degenerate(b):
             return b
     raise RadicantError("no valid parameter found")
 
@@ -154,7 +154,7 @@ def torsion_instances(primes: Iterable[int], full_basis: bool = False):
         F = make_field(p)
         for bi in range(1, p):
             b = F.el(bi)
-            if degree5_discriminant(b).is_zero():
+            if degree5_degenerate(b):
                 continue
             E = degree5_curve(b)
             above = points_above(E, Point(F.zero, F.zero))
@@ -686,7 +686,7 @@ def gamma0_equivalence_exhaustive(p: int) -> Report:
         valid = [
             F.el(v)
             for v in range(1, p)
-            if not degree5_discriminant(F.el(v)).is_zero()
+            if not degree5_degenerate(F.el(v))
         ]
         for b1 in valid:
             for b2 in valid:

@@ -15,6 +15,7 @@ from radicant.curve import (
     curve_from_params,
     base_change,
     degree5_curve,
+    degree5_degenerate,
     degree5_discriminant,
     degree5_j_invariant,
     division_polynomial,
@@ -394,6 +395,24 @@ class TestNormalForm:
             assert degree5_discriminant(b) == normal_form_discriminant(b, b), b
         if draws is None:  # b = 0 and the roots of b^2 - 11b - 1 where rational
             assert sum(degree5_discriminant(b).is_zero() for b in bs) in (1, 3)
+
+    @pytest.mark.parametrize("p,k", [(11, 1), (31, 1), (7, 2), (11, 2), (7, 3)])
+    def test_degree5_degenerate_is_the_zero_set_of_delta(self, p, k):
+        # one branch per k: ints, coefficient pairs, and the generic product
+        F = make_field(p, k)
+        zeros = [b for b in F.elements() if degree5_discriminant(b).is_zero()]
+        assert [b for b in F.elements() if degree5_degenerate(b)] == zeros
+        assert F.zero in zeros and len(zeros) in (1, 3)
+
+    @pytest.mark.parametrize("p,k", [(2**61 - 1, 1), (10007, 2)])
+    def test_degree5_degenerate_at_large_p(self, p, k):
+        # the roots (11 +- s)/2, s^2 = 125, of b^2 - 11b - 1, and their neighbours
+        F = make_field(p, k)
+        for s in nth_roots(F.el(125), 2):
+            b = (11 + s) / 2
+            assert degree5_degenerate(b) and degree5_discriminant(b).is_zero()
+            for c in (b + 1, b - 1, b * 3):
+                assert not degree5_degenerate(c) and not degree5_discriminant(c).is_zero()
 
     @pytest.mark.parametrize("p,k", [(13, 1), (31, 1), (7, 2), (11, 2)])
     def test_closed_form_b_matches_to_tate_normal(self, p, k):

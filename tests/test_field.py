@@ -14,11 +14,10 @@ from radicant.errors import ContextMismatch, NoRootError
 from radicant.field import (
     _mul_raw,
     _mul_schoolbook,
-    arith,
     make_field,
-    multiplicative_order,
     nth_roots,
 )
+from radicant.miscutil import order_dividing
 from radicant.radical import radical_chain
 
 
@@ -91,40 +90,36 @@ class TestMakeField:
 
 class TestArith:
     def test_examples_f11(self, F11):
-        assert arith(F11.el(7), F11.el(8), "add") == F11.el(4)
+        assert F11.el(7) + F11.el(8) == F11.el(4)
         assert F11.el(3).inverse() == F11.el(4)
         assert F11.el(2) ** 5 == F11.el(10)
 
     def test_division(self, F11):
-        assert arith(F11.el(7), F11.el(3), "div") * F11.el(3) == F11.el(7)
+        assert F11.el(7) / F11.el(3) * F11.el(3) == F11.el(7)
 
     def test_division_by_zero(self, F11):
         with pytest.raises(ZeroDivisionError):
-            arith(F11.el(1), F11.zero, "div")
+            F11.el(1) / F11.zero
 
     def test_context_mixing_rejected(self, F11, F13):
         with pytest.raises(ContextMismatch):
-            arith(F11.el(1), F13.el(1), "add")
+            F11.el(1) + F13.el(1)
 
     def test_equal_contexts_from_separate_builds_mix(self):
         A, B = make_field(31), make_field(31)
         assert A is not B and A == B
         x, y = A.el(5), B.el(7)
-        assert arith(x, y, "add") == A.el(12)
-        assert arith(x, y, "mul") == B.el(4)
-        assert arith(arith(x, y, "div"), y, "mul") == x
+        assert x + y == A.el(12)
+        assert x * y == B.el(4)
+        assert x / y * y == x
         assert A.el(9) == B.el(9) and hash(A.el(9)) == hash(B.el(9))
 
     def test_distinct_fields_do_not_mix(self):
         x, y = make_field(31).el(3), make_field(37).el(3)
         assert x != y
-        for op in ("add", "sub", "mul", "div"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(ContextMismatch):
-                arith(x, y, op)
-
-    def test_unknown_op(self, F11):
-        with pytest.raises(ValueError):
-            arith(F11.el(1), F11.el(1), "pow")
+                op(x, y)
 
     @pytest.mark.parametrize("pk", [(11, 1), (5, 2), (7, 3)])
     def test_field_axioms_randomized(self, pk):
@@ -311,7 +306,7 @@ class TestQuadraticPowerAndInverse:
     @staticmethod
     def exponents(F, rng):
         p, q = F.p, F.q
-        fixed = [0, 1, 2, p - 1, p, p + 1, q - 2, q - 1, q, 3 * q + 1]
+        fixed = list(range(41)) + [p - 1, p, p + 1, q - 2, q - 1, q, q + 1, 3 * q + 1]
         drawn = [rng.randrange(q) for _ in range(4)] + [rng.randrange(q**2) for _ in range(2)]
         return fixed + drawn + [-e for e in (1, 2, p, q - 2, q, rng.randrange(1, q))]
 
@@ -542,5 +537,12 @@ class TestNthRoots:
             non_powers += 1
 
     def test_multiplicative_order(self, F11):
-        assert multiplicative_order(F11.el(10)) == 2
-        assert multiplicative_order(F11.el(2)) == 10
+        # the least m >= 1 with a^m = 1, by a scan; order_dividing, which
+        # strips prime factors from q - 1, must agree on every element
+        def scanned(a):
+            return next(m for m in range(1, a.ctx.q) if a**m == a.ctx.one)
+
+        assert scanned(F11.el(10)) == 2 and scanned(F11.el(2)) == 10
+        for F in (F11, make_field(5, 2)):
+            for a in F.nonzero_elements():
+                assert order_dividing(F.q - 1, lambda m: a**m == F.one) == scanned(a)

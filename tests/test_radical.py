@@ -11,6 +11,7 @@ from radicant import curve, field, pairing, poly, radical, verify
 from radicant.curve import (
     Point,
     degree5_curve,
+    degree5_degenerate,
     degree5_discriminant,
     normal_form_discriminant,
     point_order,
@@ -193,9 +194,10 @@ class TestNoRedundantChecks:
                 return helper(b, *c)
             return counted
 
-        # the step's helper, and curve's own names too, which TateParams and
-        # degree5_j_invariant use
-        monkeypatch.setattr(radical, "degree5_discriminant", counting(degree5_discriminant))
+        # the step's zero test, and curve's own names too, which TateParams
+        # and degree5_j_invariant use
+        monkeypatch.setattr(radical, "degree5_degenerate", counting(degree5_degenerate))
+        monkeypatch.setattr(curve, "degree5_degenerate", counting(degree5_degenerate))
         monkeypatch.setattr(curve, "degree5_discriminant", counting(degree5_discriminant))
         monkeypatch.setattr(curve, "normal_form_discriminant",
                             counting(normal_form_discriminant))
@@ -293,6 +295,45 @@ class TestGoldenQuadraticChains:
         for i, (alpha, b_next) in enumerate(expected):
             step = radical_step_5(b, f"index:{i}")
             assert (step.alpha.coeffs, step.b_next.coeffs, step.root_index) == (alpha, b_next, i)
+
+
+class TestQuadraticStep:
+    # over F_{p^2} the step runs on coefficient pairs; the element
+    # expression `_successor_elements`, called on the same values, is its
+    # oracle
+    @staticmethod
+    def outcome(alpha):
+        try:
+            return step_from_root(alpha**5, alpha).b_next
+        except DegenerateStep as exc:
+            return str(exc), exc.alpha
+
+    @pytest.mark.parametrize("p,poles", [(7, 0), (13, 0), (11, 4)])
+    def test_every_root_matches_the_element_expression(self, monkeypatch, p, poles):
+        F = make_field(p, 2)
+        alphas = list(F.nonzero_elements())
+        raw = [self.outcome(a) for a in alphas]
+        monkeypatch.setattr(radical, "_successor", radical._successor_elements)
+        assert raw == [self.outcome(a) for a in alphas]
+        # den has roots in F_{p^2} only where p = +-1 mod 5
+        messages = [r[0] for r in raw if isinstance(r, tuple)]
+        assert messages.count("pole of the step expression") == poles
+        assert "successor parameter is degenerate" in messages
+
+    def test_step_builds_one_element(self, monkeypatch):
+        F = make_field(1013, 2)
+        b = F.el((5, 1))
+        (alpha,) = nth_roots(b, 5)
+        built = []
+        init = field.FieldElement.__init__
+
+        def counted(self, ctx, v):
+            built.append(v)
+            init(self, ctx, v)
+
+        monkeypatch.setattr(field.FieldElement, "__init__", counted)
+        step = step_from_root(b, alpha)
+        assert built == [step.b_next.coeffs]
 
 
 class TestChainDifferential:
