@@ -571,11 +571,6 @@ def _transformed_coeffs(E: WeierstrassCurve, u, r, s, t):
     return b1, b2, b3, b4, b6
 
 
-def identity_iso(E: WeierstrassCurve) -> CurveIso:
-    ctx = E.ctx
-    return CurveIso(ctx.one, ctx.zero, ctx.zero, ctx.zero, E, E)
-
-
 def _iso_from(E: WeierstrassCurve, u, r, s, t) -> CurveIso:
     b1, b2, b3, b4, b6 = _transformed_coeffs(E, u, r, s, t)
     cod = WeierstrassCurve(b1, b2, b3, b4, b6)

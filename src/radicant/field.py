@@ -73,9 +73,10 @@ class FieldCtx:
         return f"F_{self.p}^{self.k}"
 
     def sylow(self, r: int) -> tuple:
-        """(s, descent, log_zeta) for a prime r dividing q - 1 = r^t * w,
-        r not dividing w: s = 1/r mod w; descent[i] = gen^(-r^i) for
-        i = 0..t-1, with gen a generator of the r-Sylow subgroup; and
+        """(s, rows, log_zeta) for a prime r dividing q - 1 = r^t * w, r not
+        dividing w, on element values (`_v`), not elements: s = 1/r mod w;
+        rows[i][d] = gen^(-d r^i) for i = 0..t-1 and d = 0..r-1, with gen a
+        generator of the r-Sylow subgroup, so t*r values in all; and
         log_zeta maps each r-th root of unity zeta^d, zeta = gen^(r^(t-1)),
         to d, in the order d = 0..r-1.  Built on the first call for each r.
         """
@@ -103,15 +104,18 @@ class FieldCtx:
             zeta = gen ** (r ** (t - 1))  # = z^((q-1)/r): != 1 iff gen generates
             if zeta != self.one:
                 break
-        descent, g = [], gen.inverse()
+        rows, g = [], gen.inverse()
         for _ in range(t):
-            descent.append(g)
+            row = [self.one]
+            for _ in range(r - 1):
+                row.append(row[-1] * g)
+            rows.append(tuple(x._v for x in row))
             g = g**r
         log_zeta, power = {}, self.one
         for d in range(r):
-            log_zeta[power] = d
+            log_zeta[power._v] = d
             power = power * zeta
-        data = self._sylow[r] = (pow(r, -1, w), tuple(descent), log_zeta)
+        data = self._sylow[r] = (pow(r, -1, w), tuple(rows), log_zeta)
         return data
 
     # -- element construction -------------------------------------------
@@ -328,18 +332,8 @@ class FieldElement:
             return FieldElement(ctx, pow(self._v, exponent, ctx.p))
         if ctx.k == 2 and any(self._v):
             return FieldElement(ctx, _pow_k2(self._v, exponent % (ctx.q - 1), ctx.p, ctx.modulus))
-        # k >= 3 and the zero base: square-and-multiply on raw tuples, with
-        # one element at the end
-        p, modulus = ctx.p, ctx.modulus
-        result, base = ctx.one._v, self._v
-        e = exponent
-        while e:
-            if e & 1:
-                result = _mul_raw(result, base, p, modulus)
-            e >>= 1
-            if e:
-                base = _mul_raw(base, base, p, modulus)
-        return FieldElement(ctx, result)
+        # k >= 3 and the zero base
+        return FieldElement(ctx, _pow_raw(self._v, exponent, ctx.p, ctx.modulus))
 
     # -- comparison ------------------------------------------------------
 
@@ -393,6 +387,19 @@ def _mul_schoolbook(x: tuple, y: tuple, p: int, modulus: tuple) -> tuple:
                 prod[d - k + j] -= c * modulus[j]
         prod[d] = 0
     return tuple(c % p for c in prod[:k])
+
+
+def _pow_raw(x: tuple, e: int, p: int, modulus: tuple) -> tuple:
+    """x^e for e >= 0 on coefficient tuples of length k > 1: right-to-left
+    square-and-multiply over the bits of e; any x, zero included."""
+    result, base = (1,) + (0,) * (len(x) - 1), x
+    while e:
+        if e & 1:
+            result = _mul_raw(result, base, p, modulus)
+        e >>= 1
+        if e:
+            base = _mul_raw(base, base, p, modulus)
+    return result
 
 
 def _conjugate_and_norm(x: tuple, p: int, modulus: tuple) -> tuple:
@@ -552,16 +559,35 @@ def is_root(x: FieldElement, coeffs: Sequence[int]) -> bool:
     return not any(acc)
 
 
-def _prime_roots(a: FieldElement, r: int) -> list:
-    """All solutions of x^r = a for prime r (possibly empty).
+def _value_mul(ctx: FieldCtx, x, y):
+    """x * y on the values (`_v`) of two elements of ctx."""
+    if ctx.k == 1:
+        return x * y % ctx.p
+    return _mul_raw(x, y, ctx.p, ctx.modulus)
+
+
+def _value_pow(ctx: FieldCtx, x, e: int):
+    """x^e, e >= 0, on the value of a nonzero element of ctx, through the
+    kernel `__pow__` uses at its degree."""
+    if ctx.k == 1:
+        return pow(x, e, ctx.p)
+    if ctx.k == 2:
+        return _pow_k2(x, e % (ctx.q - 1), ctx.p, ctx.modulus)
+    return _pow_raw(x, e, ctx.p, ctx.modulus)
+
+
+def _prime_roots(ctx: FieldCtx, a, r: int) -> list:
+    """The values of all solutions of x^r = a for prime r (possibly empty),
+    where a is the value of a nonzero element of ctx.
 
     Adleman-Manders-Miller: with q - 1 = r^t * w and r not dividing w,
     x0 = a^s, s = 1/r mod w, is a root up to a factor in the r-Sylow
     subgroup: x0^r = a * u with u = a^(rs - 1).  That factor is read off by
     a Pohlig-Hellman discrete log of u = gen^e in t base-r digits, with no
-    search over the r^t elements of the Sylow subgroup.  The generator, its
-    descending powers and the r-th roots of unity are field constants
-    (`FieldCtx.sylow`); a call does only the work that depends on a.
+    search over the r^t elements of the Sylow subgroup.  The generator's
+    powers gen^(-d r^i), t*r of them, and the r-th roots of unity are field
+    constants (`FieldCtx.sylow`), held as values; a call does only the work
+    that depends on a, on values too, and builds no element.
 
     Digit 0 also decides whether a is an r-th power.  Write rs - 1 = k w;
     r does not divide k, since r | k would give r | rs - 1 and so r | 1.  Then
@@ -570,28 +596,27 @@ def _prime_roots(a: FieldElement, r: int) -> list:
     So a nonzero digit 0 means there is no root.  Otherwise r | e, and
     x0 * gen^(-e/r) is a root.
     """
-    ctx = a.ctx
     n = ctx.q - 1
     if n % r != 0:
         # x -> x^r is a bijection
-        return [a ** pow(r, -1, n)]
-    s, descent, log_zeta = ctx.sylow(r)
+        return [_value_pow(ctx, a, pow(r, -1, n))]
+    s, rows, log_zeta = ctx.sylow(r)
     # x0 = a^s and u = x0^r / a = a^(rs - 1) both come from y = a^(s - 1),
-    # without inverting a
-    y = a ** (s - 1)
-    root = y * a
-    v = root ** (r - 1) * y
+    # without inverting a (s = 0 when w = 1, so the exponent is taken mod n)
+    y = _value_pow(ctx, a, (s - 1) % n)
+    root = _value_mul(ctx, y, a)
+    v = _value_mul(ctx, _value_pow(ctx, root, r - 1), y)
     # with v = u * gen^(-e_low), e_low the digits below i,
     # v^(r^(t-1-i)) = zeta^(digit i); digit i of e is digit i - 1 of e/r
-    t = len(descent)
+    t = len(rows)
     for i in range(t):
-        d = log_zeta[v ** (r ** (t - 1 - i))]
+        d = log_zeta[_value_pow(ctx, v, r ** (t - 1 - i))]
         if d:
             if i == 0:
                 return []
-            v = v * descent[i] ** d
-            root = root * descent[i - 1] ** d
-    return [root * z for z in log_zeta]
+            v = _value_mul(ctx, v, rows[i][d])
+            root = _value_mul(ctx, root, rows[i - 1][d])
+    return [_value_mul(ctx, root, z) for z in log_zeta]
 
 
 def nth_roots(rho: FieldElement, n: int) -> list:
@@ -599,23 +624,23 @@ def nth_roots(rho: FieldElement, n: int) -> list:
 
     The result has gcd(n, q-1) entries when rho is an n-th power and is
     empty otherwise.  rho = 0 is rejected: upstream it signals a vanishing
-    discriminant.
+    discriminant.  Roots are found on values, the intermediate ones of a
+    composite n included, and the only elements built are the roots returned.
     """
     if n < 1:
         raise ValueError("root degree must be positive")
     if rho.is_zero():
         raise NoRootError("zero radicand (degenerate instance)")
+    ctx = rho.ctx
     if isprime(n):  # the radical step's n = 5: no factorisation
-        roots = _prime_roots(rho, n)
+        roots = _prime_roots(ctx, rho._v, n)
     else:
-        roots = {rho}
+        roots = {rho._v}
         for r, e in sorted(factorint(n).items()):
             for _ in range(e):
-                roots = {x for a in roots for x in _prime_roots(a, r)}
+                roots = {x for a in roots for x in _prime_roots(ctx, a, r)}
                 if not roots:
                     return []
-    expected = math.gcd(n, rho.ctx.q - 1)
-    out = sorted(roots, key=lambda e: e._v)
-    if len(out) not in (0, expected):
+    if len(roots) not in (0, math.gcd(n, ctx.q - 1)):
         raise InvariantError("root count does not match gcd(n, q-1)")
-    return out
+    return [FieldElement(ctx, v) for v in sorted(roots)]

@@ -204,11 +204,6 @@ def _members(s: SubgroupSpec) -> Iterator[tuple]:
             if d % n_d == one_d)
 
 
-def subgroup_elements(s: SubgroupSpec) -> list:
-    """All matrices of the finite image, as Mat2 values."""
-    return [Mat2(*t, s.M) for t in _members(s)]
-
-
 def subgroup_order(s: SubgroupSpec) -> int:
     return sum(1 for _ in _members(s))
 

@@ -24,7 +24,6 @@ from radicant.curve import (
     find_isomorphism,
     group_order,
     has_order,
-    identity_iso,
     isomorphism_with_scale,
     isomorphisms,
     normal_form_b,

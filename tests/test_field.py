@@ -6,6 +6,7 @@ import time
 import types
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -455,9 +456,10 @@ class TestNthRoots:
         assert nth_roots(rho, n) == brute_roots(F, rho, n)
 
     # v_2, v_3, v_5 of q - 1: F_11 (1, 0, 1), F_31 (1, 1, 1), F_101 (2, 0, 2),
-    # F_251 (1, 0, 3), F_257 (8, 0, 0), F_{7^2} (4, 1, 0), F_{11^2} (3, 1, 1)
+    # F_251 (1, 0, 3), F_257 (8, 0, 0), F_{7^2} (4, 1, 0), F_{11^2} (3, 1, 1),
+    # F_{11^3} (1, 0, 1), whose powers run the k >= 3 square-and-multiply
     @pytest.mark.parametrize("pk", [(11, 1), (31, 1), (101, 1), (251, 1), (257, 1),
-                                    (7, 2), (11, 2)])
+                                    (7, 2), (11, 2), (11, 3)])
     def test_every_element_against_the_power_map(self, pk):
         # the power map x -> x^n, inverted once per (field, n), is the
         # oracle for every nonzero radicand, the non-n-th powers included
@@ -511,6 +513,65 @@ class TestNthRoots:
         with pytest.raises(ValueError):
             F.sylow(7)  # q - 1 = 2^3 * 3^2 * 5^6
         assert built == [5, 2]
+
+    # v_5(q - 1) = 2, 6 and 9 over F_p; q - 1 = 2^5 3 5^2 over F_{7^4} and
+    # 2^5 3^2 5 7 101 over F_{1009^2}
+    @pytest.mark.parametrize("pk", [(101, 1), (1125001, 1), (50781251, 1), (7, 4),
+                                    (1009, 2)])
+    def test_sylow_table_against_its_definition(self, pk):
+        F = make_field(*pk)
+        for r in sympy.primefactors(F.q - 1):
+            s, rows, log_zeta = F.sylow(r)
+            t = len(rows)
+            w = (F.q - 1) // r**t
+            assert w % r and s * r % w == 1 % w
+            gen_inv = F.el(rows[0][1])  # gen^-1 generates the r-Sylow subgroup
+            assert gen_inv ** (r**t) == 1 and gen_inv ** (r ** (t - 1)) != 1
+            for i, row in enumerate(rows):
+                base = F.el(row[1])
+                assert [F.el(x) for x in row] == [base**d for d in range(r)], (r, i)
+                if i + 1 < t:
+                    assert F.el(rows[i + 1][1]) == base**r, (r, i)
+            zetas = [F.el(z) for z in log_zeta]
+            zeta = zetas[1]
+            assert list(log_zeta.values()) == list(range(r))
+            assert zetas == [zeta**d for d in range(r)]
+            assert zeta != 1 and zeta**r == 1  # so the r keys are distinct
+            assert zeta * F.el(rows[-1][1]) == 1  # zeta = gen^(r^(t-1))
+
+    @pytest.mark.parametrize("pk,n,radicand,built", [
+        ((1125001, 1), 5, "power", 5), ((1009, 2), 5, "power", 5),
+        ((1125001, 1), 5, "non-power", 0), ((1009, 2), 5, "non-power", 0),
+        ((1048583, 1), 5, "any", 1),  # 5 is prime to q - 1
+        ((31, 1), 12, "power", 6),  # gcd(12, 30)
+    ])
+    def test_builds_only_the_returned_roots(self, monkeypatch, pk, n, radicand, built):
+        # the roots are found on values: the elements built are the roots
+        # returned, once the field's Sylow tables exist
+        F = make_field(*pk)
+        rng = random.Random(repr(pk))
+        while True:
+            c = F.random_element(rng)
+            if c.is_zero():
+                continue
+            if radicand == "power":
+                c = c**n
+            if radicand != "non-power" or c ** ((F.q - 1) // n) != 1:
+                break
+        nth_roots(F.one, n)  # builds the Sylow tables
+        values = []
+        init = field.FieldElement.__init__
+
+        def counted(self, ctx, v):
+            values.append(v)
+            init(self, ctx, v)
+
+        monkeypatch.setattr(field.FieldElement, "__init__", counted)
+        roots = nth_roots(c, n)
+        monkeypatch.undo()
+        assert len(roots) == len(values) == built
+        assert [F.el(v) for v in values] == roots
+        assert all(x**n == c for x in roots)
 
     @pytest.mark.parametrize("pk,n", [((101, 1), 25), ((7, 2), 12), ((11, 2), 10)])
     def test_equal_contexts_from_separate_builds_agree(self, pk, n):
